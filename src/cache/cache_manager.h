@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/write_buffer.h"
@@ -29,6 +28,7 @@
 #include "trace/io_request.h"
 #include "util/audit.h"
 #include "util/histogram.h"
+#include "util/lpn_table.h"
 #include "util/stats.h"
 #include "util/types.h"
 
@@ -104,7 +104,9 @@ class CacheManager {
                std::unique_ptr<WriteBufferPolicy> policy, Ftl& ftl);
 
   /// Serves one host request starting at req.arrival; returns completion
-  /// time. Must be called in nondecreasing arrival order. When `bd` is
+  /// time. Must be called in nondecreasing arrival order. A request that
+  /// reaches past kLpnBound is refused (REQB_CHECK) before it touches any
+  /// table. When `bd` is
   /// non-null, the critical-path components of the service interval
   /// [req.arrival, completion] are *added* into it (cache_lookup,
   /// evict_stall, ftl_read, ftl_program, gc, fault_retry), summing exactly
@@ -129,7 +131,9 @@ class CacheManager {
   const CacheMetrics& metrics() const { return metrics_; }
   const WriteBufferPolicy& policy() const { return *policy_; }
   WriteBufferPolicy& policy() { return *policy_; }
-  std::uint64_t cached_pages() const { return pages_.size(); }
+  std::uint64_t cached_pages() const {
+    return slots_.size() - free_slots_.size();
+  }
   std::uint64_t capacity_pages() const { return options_.capacity_pages; }
   /// Resident pages whose only up-to-date copy is in DRAM (the watermark
   /// flusher's control variable; maintained incrementally).
@@ -169,11 +173,23 @@ class CacheManager {
   void deserialize(SnapshotReader& r);
 
  private:
+  /// One cache slot; slots_ holds capacity_pages of them.
   struct PageEntry {
+    Lpn lpn = kInvalidLpn;  // kInvalidLpn while the slot is free
     std::uint64_t version = 0;
     std::uint32_t insert_req_pages = 0;  // size of the inserting request
     bool dirty = false;
     bool reused = false;  // hit at least once since insertion
+  };
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  /// Per-LPN state, one lookup for both roles: the write oracle's last
+  /// version and, while the page is cached, its slot.
+  struct LpnState {
+    std::uint64_t version = 0;
+    std::uint32_t slot = kNoSlot;
+    /// The oracle records this LPN. Distinct from version 0: a power-loss
+    /// rollback stores 0 and the snapshot must list that entry.
+    bool versioned = false;
   };
 
   SimTime serve_write(const IoRequest& req, RequestBreakdown* bd);
@@ -193,15 +209,24 @@ class CacheManager {
   /// flush latency lands on the device timelines but the current request
   /// does not wait for it — that is the whole point.
   void maybe_background_flush(SimTime now);
-  void retire_entry(Lpn lpn, const PageEntry& entry);
+  void retire_entry(const PageEntry& entry);
+  bool is_resident(Lpn lpn) const;
+  /// Takes a free slot for `lpn` (st must be its state) and returns it.
+  PageEntry& occupy(Lpn lpn, LpnState& st);
+  /// Returns st's slot to the free list.
+  void release(LpnState& st);
+  /// Sets the oracle's version for `lpn`, recording the LPN if new.
+  void set_oracle(Lpn lpn, std::uint64_t version);
   void sample_metadata();
   std::uint32_t size_bucket(std::uint32_t pages) const;
 
   CacheOptions options_;
   std::unique_ptr<WriteBufferPolicy> policy_;
   Ftl& ftl_;
-  std::unordered_map<Lpn, PageEntry> pages_;
-  std::unordered_map<Lpn, std::uint64_t> last_version_;
+  LpnTable<LpnState> lpns_;
+  std::uint64_t oracle_entries_ = 0;  // LpnStates with versioned == true
+  std::vector<PageEntry> slots_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t dirty_pages_ = 0;  // resident entries with dirty == true
   CacheMetrics metrics_;
   std::uint64_t lookup_since_sample_ = 0;

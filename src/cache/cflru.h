@@ -44,6 +44,10 @@ class CflruPolicy final : public WriteBufferPolicy {
   std::unordered_map<Lpn, Node> nodes_;
   IntrusiveList<Node, &Node::hook> list_;
   std::size_t window_;
+  /// Resident clean pages. At 0 (every page dirty, the write-buffer
+  /// setting) the clean-first window cannot hold a victim, so
+  /// select_victim takes the LRU tail without scanning it.
+  std::size_t clean_pages_ = 0;
 };
 
 }  // namespace reqblock

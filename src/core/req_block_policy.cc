@@ -47,8 +47,8 @@ void ReqBlockPolicy::destroy_block(ReqBlock* blk) {
 
 void ReqBlockPolicy::consume_block(ReqBlock* blk, std::vector<Lpn>& out) {
   for (const Lpn lpn : blk->pages) {
-    const auto erased = page_to_block_.erase(lpn);
-    REQB_DCHECK(erased == 1);
+    const bool erased = page_to_block_.erase(lpn);
+    REQB_DCHECK(erased);
     (void)erased;
     out.push_back(lpn);
   }
@@ -87,16 +87,15 @@ void ReqBlockPolicy::on_insert(Lpn lpn, const IoRequest& req, bool) {
     guard_insert_block_ = target->block_id;
   }
   target->pages.push_back(lpn);
-  page_to_block_.emplace(lpn, target);
+  page_to_block_.try_emplace(lpn, target);
 }
 
 void ReqBlockPolicy::on_hit(Lpn lpn, const IoRequest& req, bool) {
   ++tick_;
   ++mutations_;
-  const auto it = page_to_block_.find(lpn);
-  REQB_CHECK_MSG(it != page_to_block_.end(),
-                 "Req-block hit on untracked page");
-  ReqBlock* blk = it->second;
+  ReqBlock** entry = page_to_block_.find(lpn);
+  REQB_CHECK_MSG(entry != nullptr, "Req-block hit on untracked page");
+  ReqBlock* blk = *entry;
 
   if (blk->page_count() <= opt_.delta) {
     // Small request block: promote to the Small Request List head.
@@ -128,7 +127,7 @@ void ReqBlockPolicy::on_hit(Lpn lpn, const IoRequest& req, bool) {
   }
   REQB_DCHECK(target != blk);
   target->pages.push_back(lpn);
-  it->second = target;
+  *entry = target;  // no insert or erase since the lookup
   if (trace_ != nullptr) {
     trace_->emit({trace_->time(), 0, lpn, blk->page_count(),
                   EventKind::kReqBlockSplit, kTrackDrl, 0});
@@ -253,8 +252,8 @@ void ReqBlockPolicy::register_metrics(MetricsRegistry& registry) const {
 }
 
 const ReqBlock* ReqBlockPolicy::block_of(Lpn lpn) const {
-  const auto it = page_to_block_.find(lpn);
-  return it == page_to_block_.end() ? nullptr : it->second;
+  ReqBlock* const* entry = page_to_block_.find(lpn);
+  return entry == nullptr ? nullptr : *entry;
 }
 
 const ReqBlock* ReqBlockPolicy::tail_of(ReqList list) const {
@@ -267,13 +266,13 @@ const ReqBlock* ReqBlockPolicy::prev_in_list(const ReqBlock* blk) const {
 }
 
 ReqBlock* ReqBlockPolicy::mutable_block_for_tests(Lpn lpn) {
-  const auto it = page_to_block_.find(lpn);
-  return it == page_to_block_.end() ? nullptr : it->second;
+  ReqBlock* const* entry = page_to_block_.find(lpn);
+  return entry == nullptr ? nullptr : *entry;
 }
 
 bool ReqBlockPolicy::enumerate_pages(
     const std::function<void(Lpn)>& fn) const {
-  for (const auto& [lpn, blk] : page_to_block_) fn(lpn);
+  page_to_block_.for_each([&](Lpn lpn, ReqBlock*) { fn(lpn); });
   return true;
 }
 
@@ -394,9 +393,8 @@ void ReqBlockPolicy::audit(AuditReport& report) const {
         tag + " holds a duplicate page");
     block_pages += b->pages.size();
     for (const Lpn lpn : b->pages) {
-      const auto pit = page_to_block_.find(lpn);
-      REQB_AUDIT_MSG(report,
-                     pit != page_to_block_.end() && pit->second == b,
+      ReqBlock* const* entry = page_to_block_.find(lpn);
+      REQB_AUDIT_MSG(report, entry != nullptr && *entry == b,
                      tag + " holds page " + std::to_string(lpn) +
                          " but the page table disagrees");
     }
@@ -458,7 +456,11 @@ void ReqBlockPolicy::deserialize(SnapshotReader& r) {
       for (std::uint64_t p = 0; p < pages; ++p) {
         const Lpn lpn = r.u64();
         blk->pages.push_back(lpn);
-        if (!page_to_block_.emplace(lpn, blk.get()).second) {
+        if (lpn >= kLpnBound) {
+          throw SnapshotError("Req-block snapshot page is beyond the LPN "
+                              "bound");
+        }
+        if (!page_to_block_.try_emplace(lpn, blk.get()).second) {
           throw SnapshotError("Req-block snapshot repeats a page");
         }
       }

@@ -30,6 +30,7 @@
 #include "core/freq.h"
 #include "core/req_block.h"
 #include "util/intrusive_list.h"
+#include "util/lpn_table.h"
 
 namespace reqblock {
 
@@ -135,7 +136,7 @@ class ReqBlockPolicy final : public WriteBufferPolicy {
 
   ReqBlockOptions opt_;
   std::unordered_map<std::uint64_t, std::unique_ptr<ReqBlock>> blocks_;
-  std::unordered_map<Lpn, ReqBlock*> page_to_block_;
+  LpnHashMap<ReqBlock*> page_to_block_;
   std::array<BlockList, 3> lists_;
   Tick tick_ = 0;
   std::uint64_t next_block_id_ = 1;

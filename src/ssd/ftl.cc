@@ -14,11 +14,6 @@ Ftl::Ftl(const SsdConfig& cfg)
   chips_.resize(cfg_.total_chips());
 }
 
-std::uint64_t Ftl::version_of(Lpn lpn) const {
-  const auto it = versions_.find(lpn);
-  return it == versions_.end() ? 0 : it->second;
-}
-
 void Ftl::add_preexisting_range(Lpn begin, Lpn end) {
   REQB_CHECK_MSG(begin < end, "empty pre-existing range");
   preexisting_.emplace_back(begin, end);
@@ -37,8 +32,8 @@ bool Ftl::in_preexisting(Lpn lpn) const {
 Ftl::ReadResult Ftl::read_page(Lpn lpn, SimTime issue, OpAttribution* attr) {
   const ScopedTimer timer(profiler_, Profiler::Section::kFtlRead);
   if (attr != nullptr) *attr = OpAttribution{};  // unmapped path returns early
-  const auto it = l2p_.find(lpn);
-  if (it == l2p_.end()) {
+  const Mapping* m = l2p_.find(lpn);
+  if (m == nullptr) {
     if (in_preexisting(lpn)) {
       // Pre-conditioned data: full flash-read timing from the plane the
       // page would statically live on, version 0. No physical block
@@ -53,10 +48,10 @@ Ftl::ReadResult Ftl::read_page(Lpn lpn, SimTime issue, OpAttribution* attr) {
     ++metrics_.unmapped_reads;
     return {issue + cfg_.cache_access_latency, 0, false, false};
   }
-  const Ppn ppn = it->second;
-  // `it` may be erased by an uncorrectable read below; take the version
+  // The entry may be erased by an uncorrectable read below; copy it
   // before the call so the result reports what the host *asked for*.
-  const std::uint64_t version = version_of(lpn);
+  const Ppn ppn = m->ppn;
+  const std::uint64_t version = m->version;
   bool lost = false;
   const SimTime done = flash_read(amap_.plane_of(ppn),
                                   amap_.to_addr(ppn).block, ppn, lpn, issue,
@@ -203,7 +198,6 @@ SimTime Ftl::integrity_recover(std::uint32_t plane, std::uint32_t block,
       const std::uint8_t errs = array_.page_errors(ppn);
       array_.invalidate(ppn);
       l2p_.erase(lpn);
-      versions_.erase(lpn);
       if (lost != nullptr) *lost = true;
       if (trace_ != nullptr) {
         trace_->emit({cell_done, 0, lpn, errs, EventKind::kUncorrectable,
@@ -286,7 +280,7 @@ void Ftl::maybe_collect(std::uint32_t plane, SimTime t) {
       const Lpn lpn = array_.lpn_at(old);
       const Ppn fresh = array_.program(plane, lpn);
       array_.invalidate(old);
-      l2p_[lpn] = fresh;
+      remap(lpn, fresh);
       ++metrics_.gc_page_moves;
       const SimTime begin = t;
       t = chips_[chip].acquire(t, cfg_.read_latency + cfg_.program_latency);
@@ -395,14 +389,9 @@ SimTime Ftl::program_to_plane(std::uint32_t plane, Lpn lpn,
     attr->fault = done - first_attempt_done;
   }
 
-  const auto it = l2p_.find(lpn);
-  if (it != l2p_.end()) {
-    array_.invalidate(it->second);
-    it->second = fresh;
-  } else {
-    l2p_.emplace(lpn, fresh);
-  }
-  versions_[lpn] = version;
+  const auto [m, inserted] = l2p_.try_emplace(lpn);
+  if (!inserted) array_.invalidate(m->ppn);
+  *m = Mapping{fresh, version};
   ++metrics_.host_page_writes;
   if (trace_ != nullptr) {
     trace_->emit({issue, done - issue, lpn, version, EventKind::kPageProgram,
@@ -480,7 +469,7 @@ void Ftl::reclaim_block(std::uint32_t plane, std::uint32_t block, SimTime t,
     const Lpn lpn = array_.lpn_at(old);
     const Ppn fresh = array_.program(plane, lpn);
     array_.invalidate(old);
-    l2p_[lpn] = fresh;
+    remap(lpn, fresh);
     t = chips_[chip].acquire(t, cfg_.read_latency + cfg_.program_latency);
     array_.note_program(fresh, t);
     t = maybe_close_stripe(plane, fresh, t);
@@ -681,21 +670,19 @@ SimTime Ftl::program_page(Lpn lpn, std::uint64_t version, SimTime issue,
 
 void Ftl::audit(AuditReport& report) const {
   // L2P ↔ P2L roundtrip: every mapping must land on a valid physical page
-  // that names this very LPN, and must carry a version entry.
-  for (const auto& [lpn, ppn] : l2p_) {
+  // that names this very LPN.
+  l2p_.for_each([&](Lpn lpn, const Mapping& m) {
     const std::string tag = "lpn " + std::to_string(lpn);
-    if (!REQB_AUDIT_MSG(report, array_.state(ppn) == PageState::kValid,
-                        tag + " maps to ppn " + std::to_string(ppn) +
+    if (!REQB_AUDIT_MSG(report, array_.state(m.ppn) == PageState::kValid,
+                        tag + " maps to ppn " + std::to_string(m.ppn) +
                             " which is not valid")) {
-      continue;
+      return;
     }
-    REQB_AUDIT_MSG(report, array_.lpn_at(ppn) == lpn,
-                   tag + " maps to ppn " + std::to_string(ppn) +
+    REQB_AUDIT_MSG(report, array_.lpn_at(m.ppn) == lpn,
+                   tag + " maps to ppn " + std::to_string(m.ppn) +
                        " which claims lpn " +
-                       std::to_string(array_.lpn_at(ppn)));
-    REQB_AUDIT_MSG(report, versions_.contains(lpn),
-                   tag + " mapped without a version record");
-  }
+                       std::to_string(array_.lpn_at(m.ppn)));
+  });
 
   // Valid-page accounting: the flash array must hold exactly one valid
   // physical page per mapping (GC moves swap mappings atomically between
@@ -798,24 +785,19 @@ void FlashMetrics::deserialize(SnapshotReader& r) {
 
 void Ftl::serialize(SnapshotWriter& w) const {
   w.tag("ftl");
-  // Mapping tables in sorted LPN order for byte determinism.
-  std::vector<Lpn> lpns;
-  lpns.reserve(l2p_.size());
-  for (const auto& [lpn, ppn] : l2p_) lpns.push_back(lpn);
-  std::sort(lpns.begin(), lpns.end());
-  w.u64(lpns.size());
-  for (const Lpn lpn : lpns) {
+  // The mapping table iterates in ascending LPN order. The format keeps
+  // two (lpn, value) lists — physical pages, then versions — over the
+  // same keys.
+  w.u64(l2p_.size());
+  l2p_.for_each([&](Lpn lpn, const Mapping& m) {
     w.u64(lpn);
-    w.u64(l2p_.at(lpn));
-  }
-  lpns.clear();
-  for (const auto& [lpn, version] : versions_) lpns.push_back(lpn);
-  std::sort(lpns.begin(), lpns.end());
-  w.u64(lpns.size());
-  for (const Lpn lpn : lpns) {
+    w.u64(m.ppn);
+  });
+  w.u64(l2p_.size());
+  l2p_.for_each([&](Lpn lpn, const Mapping& m) {
     w.u64(lpn);
-    w.u64(versions_.at(lpn));
-  }
+    w.u64(m.version);
+  });
   w.u64(preexisting_.size());
   for (const auto& [begin, end] : preexisting_) {
     w.u64(begin);
@@ -842,24 +824,32 @@ void Ftl::serialize(SnapshotWriter& w) const {
 void Ftl::deserialize(SnapshotReader& r) {
   r.tag("ftl");
   REQB_CHECK_MSG(l2p_.empty(), "deserialize into a non-fresh FTL");
+  // Both lists are written in strictly ascending LPN order, which also
+  // rules out repeats; an LPN past kLpnBound is refused before it can
+  // size the table.
   const std::uint64_t mapped = r.count(16);
-  l2p_.reserve(mapped);
+  Lpn prev = 0;
   for (std::uint64_t i = 0; i < mapped; ++i) {
     const Lpn lpn = r.u64();
     const Ppn ppn = r.u64();
-    if (!l2p_.emplace(lpn, ppn).second) {
-      throw SnapshotError("FTL snapshot repeats an L2P mapping");
+    if (lpn >= kLpnBound || (i > 0 && lpn <= prev)) {
+      throw SnapshotError("FTL snapshot L2P mappings are out of order, "
+                          "repeated, or beyond the LPN bound");
     }
+    l2p_.try_emplace(lpn).first->ppn = ppn;
+    prev = lpn;
   }
-  const std::uint64_t versioned = r.count(16);
-  versions_.reserve(versioned);
-  for (std::uint64_t i = 0; i < versioned; ++i) {
-    const Lpn lpn = r.u64();
+  if (r.count(16) != mapped) {
+    throw SnapshotError("FTL snapshot versions do not cover its mappings");
+  }
+  l2p_.for_each([&](Lpn lpn, Mapping& m) {
+    const Lpn versioned = r.u64();
     const std::uint64_t version = r.u64();
-    if (!versions_.emplace(lpn, version).second) {
-      throw SnapshotError("FTL snapshot repeats a version entry");
+    if (versioned != lpn) {
+      throw SnapshotError("FTL snapshot versions do not cover its mappings");
     }
-  }
+    m.version = version;
+  });
   // The simulator re-registers pre-existing ranges at construction; the
   // checkpointed list replaces them wholesale so both paths agree.
   preexisting_.clear();

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "fault/fault.h"
@@ -26,6 +25,7 @@
 #include "telemetry/profiler.h"
 #include "telemetry/trace_buffer.h"
 #include "util/audit.h"
+#include "util/lpn_table.h"
 #include "util/types.h"
 
 namespace reqblock {
@@ -103,7 +103,10 @@ class Ftl {
                        OpAttribution* attr = nullptr);
 
   bool is_mapped(Lpn lpn) const { return l2p_.contains(lpn); }
-  std::uint64_t version_of(Lpn lpn) const;
+  std::uint64_t version_of(Lpn lpn) const {
+    const Mapping* m = l2p_.find(lpn);
+    return m == nullptr ? 0 : m->version;
+  }
   std::uint64_t mapped_pages() const { return l2p_.size(); }
 
   const FlashMetrics& metrics() const { return metrics_; }
@@ -252,8 +255,20 @@ class Ftl {
   std::vector<ResourceTimeline> chips_;
   bool in_preexisting(Lpn lpn) const;
 
-  std::unordered_map<Lpn, Ppn> l2p_;
-  std::unordered_map<Lpn, std::uint64_t> versions_;
+  /// One entry per mapped LPN: where its data lives and the version the
+  /// host wrote there (the read-your-writes oracle travels with the data).
+  struct Mapping {
+    Ppn ppn = 0;
+    std::uint64_t version = 0;
+  };
+  LpnTable<Mapping> l2p_;
+  /// Points a mapped LPN at its relocated physical page (GC and refresh
+  /// moves keep the version).
+  void remap(Lpn lpn, Ppn fresh) {
+    Mapping* m = l2p_.find(lpn);
+    REQB_DCHECK(m != nullptr);
+    m->ppn = fresh;
+  }
   std::vector<std::pair<Lpn, Lpn>> preexisting_;  // sorted, disjoint
   std::uint64_t rr_counter_ = 0;
   bool degraded_mode_ = false;  // end-of-life read-mostly mode (aging)

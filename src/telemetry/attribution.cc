@@ -60,12 +60,22 @@ bool AttributionResult::consistent() const {
   if (reqs != requests || matrix_total != total_ns) return false;
   for (std::size_t c = 0; c < kAttrComponents; ++c) {
     if (per_component[c] != component_ns[c]) return false;
-    if (component_hist[c].raw_sum() !=
-        static_cast<double>(component_ns[c])) {
-      // raw_sum is a double; component sums stay well under 2^53 sim-ns
-      // for any run this simulator completes, so equality is exact.
-      return false;
+    // The histogram sums in a double. Below 2^53 every partial sum of
+    // integer samples is exact, so the sums must agree exactly. Above it
+    // (an overloaded run's summed latency can get there), each of the
+    // histogram's additions rounds by at most half an ulp of the final
+    // sum, so allow count ulps.
+    const double exact = static_cast<double>(component_ns[c]);
+    const double sum = component_hist[c].raw_sum();
+    if (component_ns[c] < (std::uint64_t{1} << 53)) {
+      if (sum != exact) return false;
+      continue;
     }
+    const double top = std::max(sum, exact);
+    const double ulp = std::nextafter(top, HUGE_VAL) - top;
+    const double slack =
+        static_cast<double>(component_hist[c].count()) * ulp;
+    if (!(std::fabs(sum - exact) <= slack)) return false;
   }
   return true;
 }

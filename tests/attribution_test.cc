@@ -314,6 +314,42 @@ TEST(AttributionResult, TailSliceAndRanking) {
   EXPECT_TRUE(a.consistent());
 }
 
+TEST(AttributionResult, ConsistentPastTwoToThe53Nanoseconds) {
+  // An overloaded run's summed latency can pass 2^53 ns. Its u64
+  // components still add up exactly; the histograms' double sums round.
+  // Once the GC sum sits at 2^53, each further 1 ns rounds away.
+  AttributionResult a;
+  a.prepare();
+  RequestBreakdown huge;
+  huge[AttrComponent::kGc] = SimTime{1} << 53;
+  huge[AttrComponent::kQueueWait] = 7;
+  a.record(huge, (SimTime{1} << 53) + 7);
+  RequestBreakdown tiny;
+  tiny[AttrComponent::kGc] = 1;
+  tiny[AttrComponent::kQueueWait] = 7;
+  for (int i = 0; i < 5; ++i) a.record(tiny, 8);
+  const auto gc = static_cast<std::size_t>(AttrComponent::kGc);
+  ASSERT_GT(a.component_ns[gc], std::uint64_t{1} << 53);
+  ASSERT_NE(a.component_hist[gc].raw_sum(),
+            static_cast<double>(a.component_ns[gc]));  // it did round
+  EXPECT_TRUE(a.consistent());
+
+  // Above 2^53 a sum off by more than the rounding is still refused...
+  const auto corrupt_sum = [](LogHistogram& h, double delta) {
+    h.restore(h.raw_buckets(), h.count(), h.raw_sum() + delta, h.raw_min(),
+              h.raw_max());
+  };
+  AttributionResult far = a;
+  corrupt_sum(far.component_hist[gc], 1e6);
+  EXPECT_FALSE(far.consistent());
+  // ...and below it equality stays exact.
+  AttributionResult small = a;
+  corrupt_sum(small.component_hist[static_cast<std::size_t>(
+                  AttrComponent::kQueueWait)],
+              1.0);
+  EXPECT_FALSE(small.consistent());
+}
+
 TEST(TailAttributionReport, SilentWithoutAttributionRendersWithIt) {
   RunResult plain;
   plain.trace_name = "t";

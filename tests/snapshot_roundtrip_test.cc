@@ -258,6 +258,88 @@ TEST(SnapshotCacheTest, DeserializeIntoUsedManagerIsRejected) {
   EXPECT_THROW(b.cache->deserialize(r), std::exception);
 }
 
+// --- Untrusted LPNs ----------------------------------------------------------
+
+// A restore must refuse an LPN past kLpnBound (or out of the written
+// ascending order) with SnapshotError before it can size any table.
+TEST(SnapshotLpnBoundTest, FtlRestoreRefusesLpnsBeyondTheBound) {
+  const auto ftl_bytes = [](std::vector<Lpn> lpns) {
+    SnapshotWriter w;
+    w.tag("ftl");
+    w.u64(lpns.size());
+    for (const Lpn lpn : lpns) {
+      w.u64(lpn);
+      w.u64(0);  // ppn
+    }
+    return w.take();
+  };
+  for (const auto& lpns : std::vector<std::vector<Lpn>>{
+           {kLpnBound}, {~Lpn{0}}, {3, kLpnBound + 1}, {9, 9}, {9, 4}}) {
+    Ftl ftl(testing::tiny_ssd());
+    const std::string bytes = ftl_bytes(lpns);
+    SnapshotReader r(bytes);
+    EXPECT_THROW(ftl.deserialize(r), SnapshotError) << lpns.back();
+  }
+}
+
+TEST(SnapshotLpnBoundTest, CacheRestoreRefusesLpnsBeyondTheBound) {
+  const auto cfg = testing::policy_config("lru", 64);
+  for (const Lpn bad : {kLpnBound, ~Lpn{0}}) {
+    for (const bool resident : {true, false}) {
+      SnapshotWriter w;
+      w.tag("cache");
+      if (resident) {
+        w.u64(1);
+        w.u64(bad);
+        w.u64(1);  // version
+        w.u32(1);
+        w.b(true);
+        w.b(false);
+      } else {
+        w.u64(0);  // no resident pages
+        w.u64(1);  // one oracle entry
+        w.u64(bad);
+        w.u64(1);
+      }
+      testing::Harness h(cfg);
+      const std::string bytes = w.take();
+      SnapshotReader r(bytes);
+      EXPECT_THROW(h.cache->deserialize(r), SnapshotError);
+      EXPECT_EQ(h.cache->cached_pages(), 0u);
+    }
+  }
+}
+
+TEST(SnapshotLpnBoundTest, CacheRestoreRefusesMorePagesThanTheCacheHolds) {
+  const auto cfg = testing::policy_config("lru", 4);
+  SnapshotWriter w;
+  w.tag("cache");
+  w.u64(5);
+  for (Lpn lpn = 0; lpn < 5; ++lpn) {
+    w.u64(lpn);
+    w.u64(1);
+    w.u32(1);
+    w.b(true);
+    w.b(false);
+  }
+  testing::Harness h(cfg);
+  const std::string bytes = w.take();
+  SnapshotReader r(bytes);
+  EXPECT_THROW(h.cache->deserialize(r), SnapshotError);
+}
+
+TEST(SnapshotLpnBoundTest, LiveRequestBeyondTheBoundIsRefused) {
+  testing::Harness h(testing::policy_config("reqblock", 64));
+  EXPECT_THROW(h.serve(testing::write_req(0, kLpnBound - 1, 2)),
+               std::logic_error);
+  EXPECT_THROW(h.serve(testing::read_req(1, kLpnBound, 1)), std::logic_error);
+  EXPECT_THROW(h.serve(testing::write_req(2, ~Lpn{0}, 1)), std::logic_error);
+  EXPECT_EQ(h.cache->cached_pages(), 0u);
+  EXPECT_EQ(h.cache->metrics().page_lookups, 0u);
+  EXPECT_THROW(h.ftl.program_page(kLpnBound, 1, 0), std::logic_error);
+  EXPECT_EQ(h.ftl.mapped_pages(), 0u);
+}
+
 // --- FTL + flash array under fault injection --------------------------------
 
 TEST(SnapshotFtlTest, FaultedDeviceRoundTripsWithRetiredBlocks) {
