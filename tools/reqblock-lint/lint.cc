@@ -608,7 +608,7 @@ ContextPass build_context(const std::vector<Token>& t,
 
 // ---------------------------------------------------------------------------
 // Declaration pre-pass: per-file sets of float-typed names, double-returning
-// functions, and unordered_{map,set} variables.
+// functions, and hash-ordered (unordered_{map,set}, LpnHashMap) variables.
 // ---------------------------------------------------------------------------
 
 struct Decls {
@@ -645,7 +645,8 @@ Decls collect_decls(const std::vector<Token>& t) {
       } else {
         out.float_vars.insert(id->text);
       }
-    } else if (name == "unordered_map" || name == "unordered_set") {
+    } else if (name == "unordered_map" || name == "unordered_set" ||
+               name == "LpnHashMap") {
       const Token* open = at(i + 1);
       if (open == nullptr || open->kind != Tok::kPunct || open->text != "<")
         continue;
@@ -901,9 +902,16 @@ class FileLinter {
   void rule_unordered_serialization(std::size_t i) {
     if (!enabled(kNoUnorderedSer)) return;
     const std::vector<Token>& t = lx_.tokens;
-    if (t[i].kind != Tok::kIdent || t[i].text != "for") return;
-    if (!next_is(t, i, "(")) return;
+    if (t[i].kind != Tok::kIdent || !next_is(t, i, "(")) return;
     if (!ctx_.ctx[i].emission) return;
+    // `m.for_each(...)` / `m->for_each(...)` on a hash-ordered container
+    // (LpnHashMap) visits entries in hash order, like a range-for.
+    if (t[i].text == "for_each" && i >= 2 && prev_is_member_access(t, i) &&
+        t[i - 2].kind == Tok::kIdent) {
+      report_unordered(i, t[i - 2].text);
+      return;
+    }
+    if (t[i].text != "for") return;
     // Find the ':' of a range-for at paren depth 1.
     int depth = 0;
     std::size_t colon = 0;
@@ -929,6 +937,11 @@ class FileLinter {
     for (std::size_t j = colon + 1; j < close; ++j) {
       if (t[j].kind == Tok::kIdent && !next_is(t, j, "(")) base = t[j].text;
     }
+    report_unordered(i, base);
+  }
+
+  void report_unordered(std::size_t i, const std::string& base) {
+    const std::vector<Token>& t = lx_.tokens;
     if (base.empty() || decls_.unordered_vars.count(base) == 0) return;
     // "Sorts first" exemption: the surrounding function sorts somewhere
     // (collect-into-vector-then-sort is the sanctioned pattern).
