@@ -10,10 +10,20 @@
 // Identical traces and identical integrity knobs keep the fresh-vs-aged
 // delta a pure recovery-mix effect.
 //
+// The aged usr_0 cell never reaches a steady state within a run, so its
+// tail, WAF and read-loss figures depend on run length: replayed for 1.5M
+// requests its quarter mean response went from 8.8 ms (second quarter) to
+// 25.5 ms (last quarter), it lost a read to an open-stripe uncorrectable,
+// and its WAF was still rising at 3M requests (1.82 -> 2.32). Compare
+// cells only at equal request caps; the host_reads_lost and waf columns
+// make the drift visible. For a steady-state aged device, see perfbench's
+// aged-gc workload (perfbench/README.md).
+//
 // Ledger format matches BENCH_soak.json (tools/perf_diff reads both):
 // {"records": [...]}, every field deterministic except wall_unix_s on
-// its own line. Integrity records append the recovery-tier counters
-// after the shared columns; perf_diff ignores fields it does not know.
+// its own line. Integrity records append the recovery-tier counters,
+// reads lost and WAF after the shared columns; perf_diff ignores fields
+// it does not know.
 #include <chrono>
 #include <cmath>
 #include <fstream>
@@ -148,6 +158,8 @@ std::string ledger_record(const std::string& name, const ExperimentCase& c,
      << "\"retry_corrected\": " << in.retry_corrected << ",\n"
      << "\"parity_rebuilds\": " << in.parity_rebuilds << ",\n"
      << "\"uncorrectable\": " << in.uncorrectable << ",\n"
+     << "\"host_reads_lost\": " << in.host_reads_lost << ",\n"
+     << "\"waf\": " << format_double(r.flash.waf(), 4) << ",\n"
      << "\"patrol_scrubs\": " << in.patrol_scrubs << ",\n"
      << "\"integrity_recovery_ns\": " << in.recovery_time_total << ",\n"
      << "\"component_share\": {";
@@ -196,7 +208,7 @@ void append_to_ledger(const std::string& records) {
 
 void report() {
   TextTable t({"Policy", "device", "p99 (ms)", "ecc", "retry", "rebuilds",
-               "uncorr", "scrubs", "recovery (ms)"});
+               "uncorr", "lost", "WAF", "scrubs", "recovery (ms)"});
   std::string records;
   std::uint64_t cells = 0;
   std::vector<std::string> deltas;
@@ -215,6 +227,8 @@ void report() {
                  std::to_string(in.retry_corrected),
                  std::to_string(in.parity_rebuilds),
                  std::to_string(in.uncorrectable),
+                 std::to_string(in.host_reads_lost),
+                 format_double(r->flash.waf(), 4),
                  std::to_string(in.patrol_scrubs),
                  format_double(static_cast<double>(in.recovery_time_total) /
                                    kMillisecond, 2)});

@@ -62,10 +62,10 @@ void CacheManager::release(LpnState& st) {
   st.slot = kNoSlot;
 }
 
-void CacheManager::set_oracle(Lpn lpn, std::uint64_t version) {
+void CacheManager::set_oracle(Lpn lpn, std::uint32_t version) {
   LpnState& st = lpns_[lpn];
   if (!st.versioned) {
-    st.versioned = true;
+    st.versioned = 1;
     ++oracle_entries_;
   }
   st.version = version;
@@ -223,11 +223,14 @@ SimTime CacheManager::serve_write(const IoRequest& req, RequestBreakdown* bd) {
     sample_metadata();
     // LpnTable entries never move, so `st` survives the evictions below.
     LpnState& st = lpns_[lpn];
+    REQB_CHECK_MSG(st.version < Ftl::kMaxVersion,
+                   "page " + std::to_string(lpn) +
+                       " would take a version past 2^32 - 1");
     if (!st.versioned) {
-      st.versioned = true;
+      st.versioned = 1;
       ++oracle_entries_;
     }
-    const std::uint64_t version = ++st.version;
+    const std::uint32_t version = ++st.version;
 
     if (st.slot != kNoSlot) {
       PageEntry& e = slots_[st.slot];
@@ -750,7 +753,12 @@ void CacheManager::deserialize(SnapshotReader& r) {
   const std::uint64_t oracle = r.count(16);
   for (std::uint64_t i = 0; i < oracle; ++i) {
     lpn = next_lpn(i, lpn);
-    set_oracle(lpn, r.u64());
+    // The field stays u64 in the format; the oracle holds 32 bits.
+    const std::uint64_t version = r.u64();
+    if (version > Ftl::kMaxVersion) {
+      throw SnapshotError("cache snapshot version is beyond 2^32 - 1");
+    }
+    set_oracle(lpn, static_cast<std::uint32_t>(version));
   }
   metrics_.deserialize(r);
   lookup_since_sample_ = r.u64();

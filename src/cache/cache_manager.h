@@ -139,7 +139,8 @@ class CacheManager {
   /// flusher's control variable; maintained incrementally).
   std::uint64_t dirty_pages() const { return dirty_pages_; }
 
-  /// Last written version per LPN (the consistency oracle).
+  /// Last written version per LPN (the consistency oracle). A write that
+  /// would take a version past Ftl::kMaxVersion is refused (REQB_CHECK).
   std::uint64_t expected_version(Lpn lpn) const;
 
   /// Clears the counters (cache contents stay). Used for warmup phases.
@@ -172,6 +173,18 @@ class CacheManager {
   void serialize(SnapshotWriter& w) const;
   void deserialize(SnapshotReader& r);
 
+  /// Slot index of an LpnState that holds no cached page (31 bits).
+  static constexpr std::uint32_t kNoSlot = (std::uint32_t{1} << 31) - 1;
+  /// Per-LPN state, one 8-byte lookup for both roles: the write oracle's
+  /// last version and, while the page is cached, its slot.
+  struct LpnState {
+    std::uint32_t version = 0;
+    std::uint32_t slot : 31 = kNoSlot;
+    /// The oracle records this LPN. Distinct from version 0: a power-loss
+    /// rollback stores 0 and the snapshot must list that entry.
+    std::uint32_t versioned : 1 = 0;
+  };
+
  private:
   /// One cache slot; slots_ holds capacity_pages of them.
   struct PageEntry {
@@ -180,16 +193,6 @@ class CacheManager {
     std::uint32_t insert_req_pages = 0;  // size of the inserting request
     bool dirty = false;
     bool reused = false;  // hit at least once since insertion
-  };
-  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
-  /// Per-LPN state, one lookup for both roles: the write oracle's last
-  /// version and, while the page is cached, its slot.
-  struct LpnState {
-    std::uint64_t version = 0;
-    std::uint32_t slot = kNoSlot;
-    /// The oracle records this LPN. Distinct from version 0: a power-loss
-    /// rollback stores 0 and the snapshot must list that entry.
-    bool versioned = false;
   };
 
   SimTime serve_write(const IoRequest& req, RequestBreakdown* bd);
@@ -216,7 +219,7 @@ class CacheManager {
   /// Returns st's slot to the free list.
   void release(LpnState& st);
   /// Sets the oracle's version for `lpn`, recording the LPN if new.
-  void set_oracle(Lpn lpn, std::uint64_t version);
+  void set_oracle(Lpn lpn, std::uint32_t version);
   void sample_metadata();
   std::uint32_t size_bucket(std::uint32_t pages) const;
 

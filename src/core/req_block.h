@@ -30,7 +30,8 @@ inline const char* to_string(ReqList l) {
 }
 
 struct ReqBlock {
-  /// Unique block identity (never reused within a policy instance).
+  /// Unique block identity (never reused within a policy instance); 0
+  /// while the block's storage waits in the policy's pool for reuse.
   std::uint64_t block_id = 0;
   /// The host request this block belongs to (groups pages per request).
   std::uint64_t req_id = 0;

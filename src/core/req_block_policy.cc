@@ -18,19 +18,32 @@ ReqBlockPolicy::BlockList& ReqBlockPolicy::list_for(ReqList level) {
   return lists_[static_cast<std::size_t>(level)];
 }
 
+ReqBlock* ReqBlockPolicy::acquire_block(std::uint64_t id) {
+  ReqBlock* blk = nullptr;
+  if (free_blocks_.empty()) {
+    blk = &pool_.emplace_back();
+  } else {
+    blk = free_blocks_.back();
+    free_blocks_.pop_back();
+    std::vector<Lpn> pages = std::move(blk->pages);
+    REQB_DCHECK(pages.empty());
+    *blk = ReqBlock{};
+    blk->pages = std::move(pages);
+  }
+  blk->block_id = id;
+  blocks_.try_emplace(id, blk);
+  return blk;
+}
+
 ReqBlock* ReqBlockPolicy::create_block(std::uint64_t req_id, ReqList level,
                                        std::uint64_t origin_id) {
-  auto blk = std::make_unique<ReqBlock>();
-  blk->block_id = next_block_id_++;
+  ReqBlock* blk = acquire_block(next_block_id_++);
   blk->req_id = req_id;
   blk->level = level;
-  blk->access_cnt = 1;
   blk->insert_tick = tick_;
   blk->origin_id = origin_id;
-  ReqBlock* raw = blk.get();
-  blocks_.emplace(raw->block_id, std::move(blk));
-  list_for(level).push_front(raw);
-  return raw;
+  list_for(level).push_front(blk);
+  return blk;
 }
 
 void ReqBlockPolicy::move_block(ReqBlock* blk, ReqList level) {
@@ -40,9 +53,10 @@ void ReqBlockPolicy::move_block(ReqBlock* blk, ReqList level) {
 }
 
 void ReqBlockPolicy::destroy_block(ReqBlock* blk) {
-  REQB_DCHECK(blk->pages.empty());
-  const std::uint64_t id = blk->block_id;
-  blocks_.erase(id);
+  REQB_DCHECK(blk->pages.empty() && !blk->hook.linked());
+  blocks_.erase(blk->block_id);
+  blk->block_id = 0;  // a pooled block has no identity
+  free_blocks_.push_back(blk);
 }
 
 void ReqBlockPolicy::consume_block(ReqBlock* blk, std::vector<Lpn>& out) {
@@ -77,10 +91,8 @@ void ReqBlockPolicy::on_insert(Lpn lpn, const IoRequest& req, bool) {
   // create_req_blk(IRL, R): reuse the request's block at the IRL head.
   ReqBlock* target = nullptr;
   if (guard_insert_block_ != 0) {
-    const auto it = blocks_.find(guard_insert_block_);
-    if (it != blocks_.end() && it->second->req_id == req.id) {
-      target = it->second.get();
-    }
+    ReqBlock* const* guard = blocks_.find(guard_insert_block_);
+    if (guard != nullptr && (*guard)->req_id == req.id) target = *guard;
   }
   if (target == nullptr) {
     target = create_block(req.id, ReqList::kIRL, /*origin_id=*/0);
@@ -116,10 +128,8 @@ void ReqBlockPolicy::on_hit(Lpn lpn, const IoRequest& req, bool) {
 
   ReqBlock* target = nullptr;
   if (guard_split_block_ != 0) {
-    const auto sit = blocks_.find(guard_split_block_);
-    if (sit != blocks_.end() && sit->second->req_id == req.id) {
-      target = sit->second.get();
-    }
+    ReqBlock* const* guard = blocks_.find(guard_split_block_);
+    if (guard != nullptr && (*guard)->req_id == req.id) target = *guard;
   }
   if (target == nullptr) {
     target = create_block(req.id, ReqList::kDRL, blk->block_id);
@@ -167,10 +177,10 @@ VictimBatch ReqBlockPolicy::select_victim() {
   // of IRL so the request is evicted as one spatially-contiguous batch.
   ReqBlock* origin = nullptr;
   if (opt_.merge_on_evict && victim->origin_id != 0) {
-    const auto it = blocks_.find(victim->origin_id);
-    if (it != blocks_.end() && it->second->level == ReqList::kIRL &&
-        !guarded(it->second.get())) {
-      origin = it->second.get();
+    ReqBlock* const* found = blocks_.find(victim->origin_id);
+    if (found != nullptr && (*found)->level == ReqList::kIRL &&
+        !guarded(*found)) {
+      origin = *found;
     }
   }
   ++mutations_;
@@ -319,8 +329,8 @@ void ReqBlockPolicy::audit(AuditReport& report) const {
       REQB_AUDIT_MSG(report, newly_listed,
                      "block " + std::to_string(b->block_id) +
                          " linked on two lists");
-      const auto it = blocks_.find(b->block_id);
-      REQB_AUDIT_MSG(report, it != blocks_.end() && it->second.get() == b,
+      ReqBlock* const* owned = blocks_.find(b->block_id);
+      REQB_AUDIT_MSG(report, owned != nullptr && *owned == b,
                      "block " + std::to_string(b->block_id) +
                          " linked but not owned by the block table");
     });
@@ -329,11 +339,25 @@ void ReqBlockPolicy::audit(AuditReport& report) const {
                  "lists link " + std::to_string(listed) +
                      " blocks, table owns " + std::to_string(blocks_.size()));
 
-  // Pass 2 — every owned block: page-table cross-consistency, Eq. 1
+  // Pass 2 — the pool: every block is live or free, and a free block is
+  // blank (no id, no pages, unlinked) so reuse inherits nothing.
+  REQB_AUDIT_MSG(report, pool_.size() == blocks_.size() + free_blocks_.size(),
+                 "pool holds " + std::to_string(pool_.size()) + " blocks, " +
+                     std::to_string(blocks_.size()) + " live + " +
+                     std::to_string(free_blocks_.size()) + " free");
+  for (const ReqBlock* b : free_blocks_) {
+    REQB_AUDIT_MSG(report,
+                   b->block_id == 0 && b->pages.empty() && !b->hook.linked(),
+                   "free pooled block still carries id " +
+                       std::to_string(b->block_id) + ", " +
+                       std::to_string(b->pages.size()) + " pages" +
+                       (b->hook.linked() ? ", a list link" : ""));
+  }
+
+  // Pass 3 — every owned block: page-table cross-consistency, Eq. 1
   // counter bounds, δ-membership per list, origin backpointers.
   std::size_t block_pages = 0;
-  for (const auto& [id, owned] : blocks_) {
-    const ReqBlock* b = owned.get();
+  blocks_.for_each([&](std::uint64_t id, const ReqBlock* b) {
     const std::string tag = "block " + std::to_string(id);
     REQB_AUDIT_MSG(report, b->block_id == id,
                    tag + " keyed under " + std::to_string(id) + " but holds " +
@@ -398,7 +422,7 @@ void ReqBlockPolicy::audit(AuditReport& report) const {
                      tag + " holds page " + std::to_string(lpn) +
                          " but the page table disagrees");
     }
-  }
+  });
   // Combined with the per-page check above, size equality makes the page
   // table and the union of block pages the *same* set.
   REQB_AUDIT_MSG(report, block_pages == page_to_block_.size(),
@@ -433,7 +457,7 @@ void ReqBlockPolicy::serialize(SnapshotWriter& w) const {
 
 void ReqBlockPolicy::deserialize(SnapshotReader& r) {
   r.tag("reqblock");
-  REQB_CHECK_MSG(blocks_.empty(),
+  REQB_CHECK_MSG(blocks_.size() == 0,
                  "deserialize into a non-fresh Req-block policy");
   tick_ = r.u64();
   next_block_id_ = r.u64();
@@ -444,31 +468,34 @@ void ReqBlockPolicy::deserialize(SnapshotReader& r) {
   for (std::size_t level = 0; level < lists_.size(); ++level) {
     const std::uint64_t count = r.u64();
     for (std::uint64_t i = 0; i < count; ++i) {
-      auto blk = std::make_unique<ReqBlock>();
-      blk->block_id = r.u64();
+      const std::uint64_t id = r.u64();
+      if (id == 0 || id >= next_block_id_) {
+        throw SnapshotError("Req-block snapshot block id is outside the "
+                            "allocated range");
+      }
+      if (blocks_.contains(id)) {
+        throw SnapshotError("Req-block snapshot repeats a block id");
+      }
+      ReqBlock* blk = acquire_block(id);
       blk->req_id = r.u64();
       blk->level = static_cast<ReqList>(level);
       blk->access_cnt = r.u64();
       blk->insert_tick = r.u64();
       blk->origin_id = r.u64();
+      lists_[level].push_back(blk);
       const std::uint64_t pages = r.count(8);
       blk->pages.reserve(pages);
       for (std::uint64_t p = 0; p < pages; ++p) {
         const Lpn lpn = r.u64();
-        blk->pages.push_back(lpn);
         if (lpn >= kLpnBound) {
           throw SnapshotError("Req-block snapshot page is beyond the LPN "
                               "bound");
         }
-        if (!page_to_block_.try_emplace(lpn, blk.get()).second) {
+        if (!page_to_block_.try_emplace(lpn, blk).second) {
           throw SnapshotError("Req-block snapshot repeats a page");
         }
+        blk->pages.push_back(lpn);
       }
-      ReqBlock* raw = blk.get();
-      if (!blocks_.emplace(raw->block_id, std::move(blk)).second) {
-        throw SnapshotError("Req-block snapshot repeats a block id");
-      }
-      lists_[level].push_back(raw);
     }
   }
   // The occupancy memo key starts at ~0 on a fresh instance, which can

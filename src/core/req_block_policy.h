@@ -23,8 +23,8 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
+#include <deque>
+#include <vector>
 
 #include "cache/write_buffer.h"
 #include "core/freq.h"
@@ -93,6 +93,8 @@ class ReqBlockPolicy final : public WriteBufferPolicy {
   /// List tails as the eviction candidates the policy would compare.
   const ReqBlock* tail_of(ReqList list) const;
   std::size_t block_count() const { return blocks_.size(); }
+  /// Blocks the pool holds, live or free for reuse (never shrinks).
+  std::size_t pooled_blocks() const { return pool_.size(); }
   /// Whether the block is shielded from eviction because it belongs to the
   /// in-flight request. Exposed so the brute-force reference victim
   /// selector can replicate the eviction scan exactly.
@@ -123,7 +125,12 @@ class ReqBlockPolicy final : public WriteBufferPolicy {
   BlockList& list_for(ReqList level);
   /// Detaches from its current list and pushes to the head of `level`.
   void move_block(ReqBlock* blk, ReqList level);
-  /// Destroys a block (must already be unlinked and have no pages mapped).
+  /// Takes a block from the free list (or grows the pool), resets it to
+  /// a fresh ReqBlock that keeps only its pages capacity, and indexes it
+  /// under `id`. The caller links it on a list.
+  ReqBlock* acquire_block(std::uint64_t id);
+  /// Returns a block to the pool (must already be unlinked and have no
+  /// pages mapped).
   void destroy_block(ReqBlock* blk);
   /// Removes every page mapping of `blk` and unlinks + destroys it,
   /// appending its pages to `out`.
@@ -135,7 +142,13 @@ class ReqBlockPolicy final : public WriteBufferPolicy {
   bool guarded(const ReqBlock* blk) const;
 
   ReqBlockOptions opt_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<ReqBlock>> blocks_;
+  /// Block storage. A deque never moves its elements, so list hooks and
+  /// page_to_block_ entries stay valid; blocks leaving the cache wait on
+  /// free_blocks_ for reuse.
+  std::deque<ReqBlock> pool_;
+  std::vector<ReqBlock*> free_blocks_;
+  /// Live blocks by id (origin and guard lookups, snapshot restore).
+  FlatHashMap<ReqBlock*, kInvalidLpn> blocks_;
   LpnHashMap<ReqBlock*> page_to_block_;
   std::array<BlockList, 3> lists_;
   Tick tick_ = 0;

@@ -25,6 +25,11 @@ void SsdConfig::validate() const {
   if (capacity_bytes % page_size != 0) {
     fail("capacity must be a whole number of pages");
   }
+  // Physical page numbers are stored in 32 bits (the FTL's mapping
+  // entries, the address decoders).
+  if (total_pages() > kMaxPhysicalPages) {
+    fail("capacity must stay below 2^32 physical pages");
+  }
   if (total_pages() % pages_per_block != 0) {
     fail("capacity must be a whole number of blocks");
   }

@@ -8,6 +8,10 @@
 namespace reqblock {
 
 struct SsdConfig {
+  /// Most physical pages a device may have: page numbers fit 32 bits.
+  static constexpr std::uint64_t kMaxPhysicalPages =
+      (std::uint64_t{1} << 32) - 1;
+
   // --- Geometry -------------------------------------------------------
   std::uint32_t channels = 8;           // Table 1: "Channel Size"
   std::uint32_t chips_per_channel = 2;  // Table 1: "Chip Size"
@@ -65,7 +69,8 @@ struct SsdConfig {
   /// Free blocks per plane at/below which GC runs.
   std::uint64_t gc_threshold_blocks() const;
 
-  /// Throws std::invalid_argument when geometry/timing are inconsistent.
+  /// Throws std::invalid_argument when geometry/timing are inconsistent or
+  /// the device holds more than kMaxPhysicalPages.
   void validate() const;
 
   /// Exact Table 1 configuration (128 GB).

@@ -8,14 +8,17 @@
 namespace reqblock {
 
 FlashArray::FlashArray(const SsdConfig& cfg) : cfg_(cfg), amap_(cfg_) {
-  cfg_.validate();
+  // amap_'s constructor validated cfg_.
+  blocks_per_plane_ = static_cast<std::uint32_t>(cfg_.blocks_per_plane());
+  gc_threshold_ = cfg_.gc_threshold_blocks();
   planes_.resize(cfg_.total_planes());
-  const auto bpp = static_cast<std::uint32_t>(cfg_.blocks_per_plane());
   for (auto& plane : planes_) {
-    plane.blocks.resize(bpp);
-    plane.free_list.reserve(bpp);
+    plane.blocks.resize(blocks_per_plane_);
+    plane.free_list.reserve(blocks_per_plane_);
     // LIFO: block 0 is allocated first.
-    for (std::uint32_t b = bpp; b > 0; --b) plane.free_list.push_back(b - 1);
+    for (std::uint32_t b = blocks_per_plane_; b > 0; --b) {
+      plane.free_list.push_back(b - 1);
+    }
   }
 }
 
@@ -68,7 +71,7 @@ void FlashArray::clear_integrity_state(Block& b) {
 
 Ppn FlashArray::make_ppn(std::uint32_t plane, std::uint32_t block,
                          std::uint32_t page) const {
-  return (static_cast<Ppn>(plane) * cfg_.blocks_per_plane() + block) *
+  return (static_cast<Ppn>(plane) * blocks_per_plane_ + block) *
              cfg_.pages_per_block +
          page;
 }
@@ -97,33 +100,31 @@ Ppn FlashArray::program(std::uint32_t plane, Lpn lpn) {
 
 void FlashArray::invalidate(Ppn ppn) {
   const std::uint32_t plane = amap_.plane_of(ppn);
-  const PhysAddr a = amap_.to_addr(ppn);
-  const std::uint32_t block =
-      a.block;  // to_addr gives block within plane already
+  const std::uint32_t block = amap_.block_of(ppn);
+  const std::uint32_t page = amap_.page_of(ppn);
   Block& b = block_at(plane, block);
-  REQB_CHECK_MSG(b.states && b.states[a.page] == PageState::kValid,
+  REQB_CHECK_MSG(b.states && b.states[page] == PageState::kValid,
                  "invalidate of a non-valid page");
-  b.states[a.page] = PageState::kInvalid;
+  b.states[page] = PageState::kInvalid;
   REQB_DCHECK(b.valid_count > 0);
   --b.valid_count;
   ++b.invalid_count;
   REQB_DCHECK(planes_[plane].valid_pages > 0);
   --planes_[plane].valid_pages;
-  planes_[plane].gc_heap.emplace(b.invalid_count, block);
+  planes_[plane].gc_heap.push(gc_key(b.invalid_count, block));
 }
 
 PageState FlashArray::state(Ppn ppn) const {
-  const PhysAddr a = amap_.to_addr(ppn);
-  const Block& b = block_at(amap_.plane_of(ppn), a.block);
-  return b.states ? b.states[a.page] : PageState::kFree;
+  const Block& b = block_at(amap_.plane_of(ppn), amap_.block_of(ppn));
+  return b.states ? b.states[amap_.page_of(ppn)] : PageState::kFree;
 }
 
 Lpn FlashArray::lpn_at(Ppn ppn) const {
-  const PhysAddr a = amap_.to_addr(ppn);
-  const Block& b = block_at(amap_.plane_of(ppn), a.block);
-  REQB_CHECK_MSG(b.states && b.states[a.page] == PageState::kValid,
+  const Block& b = block_at(amap_.plane_of(ppn), amap_.block_of(ppn));
+  const std::uint32_t page = amap_.page_of(ppn);
+  REQB_CHECK_MSG(b.states && b.states[page] == PageState::kValid,
                  "lpn_at on a non-valid page");
-  return b.lpns[a.page];
+  return b.lpns[page];
 }
 
 std::uint64_t FlashArray::free_blocks(std::uint32_t plane) const {
@@ -132,14 +133,15 @@ std::uint64_t FlashArray::free_blocks(std::uint32_t plane) const {
 }
 
 bool FlashArray::gc_needed(std::uint32_t plane) const {
-  return free_blocks(plane) <= cfg_.gc_threshold_blocks();
+  return free_blocks(plane) <= gc_threshold_;
 }
 
 std::uint32_t FlashArray::pick_gc_victim(std::uint32_t plane) {
   Plane& pl = planes_[plane];
   auto next_live_top = [&]() -> std::uint32_t {
     while (!pl.gc_heap.empty()) {
-      const auto [cnt, block] = pl.gc_heap.top();
+      const std::uint32_t cnt = gc_key_invalid(pl.gc_heap.top());
+      const std::uint32_t block = gc_key_block(pl.gc_heap.top());
       const Block& b = block_at(plane, block);
       if (block == pl.active || b.invalid_count != cnt ||
           b.invalid_count == 0) {
@@ -167,32 +169,31 @@ std::uint32_t FlashArray::pick_gc_victim(std::uint32_t plane) {
       best_cnt > cfg_.gc_wear_tie_margin ? best_cnt - cfg_.gc_wear_tie_margin
                                          : 1;
   std::uint32_t victim = best;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> scanned;
+  std::vector<std::uint64_t> scanned;
   while (true) {
     const std::uint32_t cand = next_live_top();
     if (cand == kNoBlock) break;
     const Block& b = block_at(plane, cand);
     if (b.invalid_count < floor_cnt) break;
-    scanned.emplace_back(b.invalid_count, cand);
+    scanned.push_back(gc_key(b.invalid_count, cand));
     pl.gc_heap.pop();
     if (b.erase_count < block_at(plane, victim).erase_count) victim = cand;
   }
-  for (const auto& entry : scanned) pl.gc_heap.push(entry);
+  for (const std::uint64_t entry : scanned) pl.gc_heap.push(entry);
   return victim;
 }
 
-std::vector<Ppn> FlashArray::valid_pages(std::uint32_t plane,
-                                         std::uint32_t block) const {
+void FlashArray::valid_pages(std::uint32_t plane, std::uint32_t block,
+                             std::vector<Ppn>& out) const {
   const Block& b = block_at(plane, block);
-  std::vector<Ppn> out;
-  if (!b.states) return out;
+  out.clear();
+  if (!b.states) return;
   out.reserve(b.valid_count);
   for (std::uint32_t p = 0; p < b.write_ptr; ++p) {
     if (b.states[p] == PageState::kValid) {
       out.push_back(make_ppn(plane, block, p));
     }
   }
-  return out;
 }
 
 void FlashArray::erase_block(std::uint32_t plane, std::uint32_t block) {
@@ -226,10 +227,9 @@ void FlashArray::note_read(std::uint32_t plane, std::uint32_t block) {
 }
 
 void FlashArray::note_program(Ppn ppn, SimTime now) {
-  const PhysAddr a = amap_.to_addr(ppn);
-  Block& b = block_at(amap_.plane_of(ppn), a.block);
+  Block& b = block_at(amap_.plane_of(ppn), amap_.block_of(ppn));
   b.read_count = 0;
-  if (a.page == 0) b.data_origin = now;
+  if (amap_.page_of(ppn) == 0) b.data_origin = now;
 }
 
 void FlashArray::pre_age(std::uint32_t cycles) {
@@ -252,13 +252,12 @@ void FlashArray::set_stripe_pages(std::uint32_t pages) {
 
 std::uint32_t FlashArray::stripe_of(Ppn ppn) const {
   REQB_DCHECK(stripe_pages_ > 0);
-  return amap_.to_addr(ppn).page / stripe_pages_;
+  return amap_.page_of(ppn) / stripe_pages_;
 }
 
 bool FlashArray::closes_stripe(Ppn ppn) const {
   if (stripe_pages_ == 0) return false;
-  const std::uint32_t page = amap_.to_addr(ppn).page;
-  return (page + 1) % stripe_pages_ == 0;
+  return (amap_.page_of(ppn) + 1) % stripe_pages_ == 0;
 }
 
 bool FlashArray::stripe_parity_present(std::uint32_t plane,
@@ -285,18 +284,17 @@ void FlashArray::set_stripe_parity(std::uint32_t plane, std::uint32_t block,
 }
 
 std::uint8_t FlashArray::note_page_error(Ppn ppn) {
-  const PhysAddr a = amap_.to_addr(ppn);
-  Block& b = block_at(amap_.plane_of(ppn), a.block);
-  REQB_DCHECK(a.page < b.write_ptr);
+  Block& b = block_at(amap_.plane_of(ppn), amap_.block_of(ppn));
+  const std::uint32_t page = amap_.page_of(ppn);
+  REQB_DCHECK(page < b.write_ptr);
   ensure_error_storage(b);
-  if (b.page_errors[a.page] < 0xff) ++b.page_errors[a.page];
-  return b.page_errors[a.page];
+  if (b.page_errors[page] < 0xff) ++b.page_errors[page];
+  return b.page_errors[page];
 }
 
 std::uint8_t FlashArray::page_errors(Ppn ppn) const {
-  const PhysAddr a = amap_.to_addr(ppn);
-  const Block& b = block_at(amap_.plane_of(ppn), a.block);
-  return b.page_errors ? b.page_errors[a.page] : 0;
+  const Block& b = block_at(amap_.plane_of(ppn), amap_.block_of(ppn));
+  return b.page_errors ? b.page_errors[amap_.page_of(ppn)] : 0;
 }
 
 std::uint32_t FlashArray::max_page_errors(std::uint32_t plane,
@@ -335,8 +333,7 @@ void FlashArray::reserve_spares(std::uint32_t per_plane) {
   for (std::uint32_t p = 0; p < planes_.size(); ++p) {
     Plane& pl = planes_[p];
     REQB_CHECK_MSG(pl.spare_list.empty(), "spares already reserved");
-    REQB_CHECK_MSG(pl.free_list.size() >
-                       per_plane + cfg_.gc_threshold_blocks() + 1,
+    REQB_CHECK_MSG(pl.free_list.size() > per_plane + gc_threshold_ + 1,
                    "spare pool would leave the plane unable to allocate");
     for (std::uint32_t i = 0; i < per_plane; ++i) {
       pl.spare_list.push_back(pl.free_list.back());
@@ -402,12 +399,12 @@ bool FlashArray::can_lose_block(std::uint32_t plane) const {
   // the bound must not depend on it.
   const std::uint64_t spares_used = pl.spares_reserved - pl.spare_list.size();
   const std::uint64_t capacity_lost = pl.retired_count - spares_used;
-  if (capacity_lost >= cfg_.gc_threshold_blocks()) return false;
+  if (capacity_lost >= gc_threshold_) return false;
   const std::uint64_t usable =
       pl.blocks.size() - pl.retired_count - pl.spare_list.size();
   const std::uint64_t data_blocks =
       (pl.valid_pages + cfg_.pages_per_block - 1) / cfg_.pages_per_block;
-  return usable > data_blocks + cfg_.gc_threshold_blocks() + 2;
+  return usable > data_blocks + gc_threshold_ + 2;
 }
 
 bool FlashArray::can_accept_page(std::uint32_t plane) const {
@@ -415,7 +412,7 @@ bool FlashArray::can_accept_page(std::uint32_t plane) const {
   const Plane& pl = planes_[plane];
   const std::uint64_t usable =
       pl.blocks.size() - pl.retired_count - pl.spare_list.size();
-  const std::uint64_t reserve = cfg_.gc_threshold_blocks() + 2;
+  const std::uint64_t reserve = gc_threshold_ + 2;
   if (usable <= reserve) return false;
   return pl.valid_pages + 1 <= (usable - reserve) * cfg_.pages_per_block;
 }
@@ -604,7 +601,8 @@ void FlashArray::audit(AuditReport& report) const {
     // block.
     auto heap = pl.gc_heap;
     while (!heap.empty()) {
-      const auto [cnt, b] = heap.top();
+      const std::uint32_t cnt = gc_key_invalid(heap.top());
+      const std::uint32_t b = gc_key_block(heap.top());
       heap.pop();
       if (b >= pl.blocks.size()) continue;  // stale beyond range
       const Block& blk = pl.blocks[b];
@@ -648,14 +646,15 @@ void FlashArray::serialize(SnapshotWriter& w) const {
     w.b(pl.degraded);
     w.u32(pl.active);
     w.u64(pl.valid_pages);
-    // The GC heap's pop order depends only on the element multiset (pairs
+    // The GC heap's pop order depends only on the element multiset (keys
     // are totally ordered; equal duplicates pop consecutively), so
-    // draining a copy captures behavior exactly and gives stable bytes.
+    // draining a copy captures behavior exactly and gives stable bytes:
+    // (invalid_count, block) pairs in descending order.
     auto heap = pl.gc_heap;
     w.u64(heap.size());
     while (!heap.empty()) {
-      w.u32(heap.top().first);
-      w.u32(heap.top().second);
+      w.u32(gc_key_invalid(heap.top()));
+      w.u32(gc_key_block(heap.top()));
       heap.pop();
     }
     w.u64(pl.blocks.size());
@@ -726,7 +725,7 @@ void FlashArray::deserialize(SnapshotReader& r) {
     for (std::uint64_t i = 0; i < heap_size; ++i) {
       const std::uint32_t invalid = r.u32();
       const std::uint32_t block = r.u32();
-      pl.gc_heap.emplace(invalid, block);
+      pl.gc_heap.push(gc_key(invalid, block));
     }
     const std::uint64_t block_count = r.u64();
     if (block_count != pl.blocks.size()) {

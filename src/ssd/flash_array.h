@@ -51,8 +51,14 @@ class FlashArray {
   /// Returns kNoBlock when no block qualifies.
   std::uint32_t pick_gc_victim(std::uint32_t plane);
 
-  /// Physical pages still valid inside a block (the pages GC must move).
-  std::vector<Ppn> valid_pages(std::uint32_t plane, std::uint32_t block) const;
+  /// Replaces `out` with the physical pages still valid inside a block
+  /// (the pages GC must move); the caller's buffer keeps its capacity.
+  void valid_pages(std::uint32_t plane, std::uint32_t block,
+                   std::vector<Ppn>& out) const;
+  /// Number of valid pages in a block.
+  std::uint32_t valid_count(std::uint32_t plane, std::uint32_t block) const {
+    return block_at(plane, block).valid_count;
+  }
 
   /// Erases a block; it must hold no valid pages.
   void erase_block(std::uint32_t plane, std::uint32_t block);
@@ -230,9 +236,11 @@ class FlashArray {
     std::uint64_t retired_count = 0;
     bool degraded = false;  // retirement outran the spare pool
     std::uint32_t active = kNoBlock;
-    // Lazy max-heap of (invalid_count, block). Stale entries are skipped
-    // on pop by re-checking the live count.
-    std::priority_queue<std::pair<std::uint32_t, std::uint32_t>> gc_heap;
+    // Lazy max-heap of (invalid_count, block), packed as
+    // invalid_count << 32 | block so one u64 compare orders it exactly as
+    // the pair. Stale entries are skipped on pop by re-checking the live
+    // count.
+    std::priority_queue<std::uint64_t> gc_heap;
     std::uint64_t valid_pages = 0;
   };
 
@@ -247,9 +255,21 @@ class FlashArray {
   }
   Ppn make_ppn(std::uint32_t plane, std::uint32_t block,
                std::uint32_t page) const;
+  static std::uint64_t gc_key(std::uint32_t invalid, std::uint32_t block) {
+    return std::uint64_t{invalid} << 32 | block;
+  }
+  static std::uint32_t gc_key_invalid(std::uint64_t key) {
+    return static_cast<std::uint32_t>(key >> 32);
+  }
+  static std::uint32_t gc_key_block(std::uint64_t key) {
+    return static_cast<std::uint32_t>(key);
+  }
 
   SsdConfig cfg_;
   AddressMap amap_;
+  // Geometry derived once from cfg_ (each SsdConfig accessor divides).
+  std::uint32_t blocks_per_plane_ = 0;
+  std::uint64_t gc_threshold_ = 0;  // cfg_.gc_threshold_blocks()
   std::vector<Plane> planes_;
   std::uint64_t total_erases_ = 0;
   std::uint64_t total_retired_ = 0;

@@ -9,7 +9,11 @@
 namespace reqblock {
 
 Ftl::Ftl(const SsdConfig& cfg)
-    : cfg_(cfg), amap_(cfg_), array_(cfg_) {
+    : cfg_(cfg),
+      amap_(cfg_),
+      array_(cfg_),
+      total_planes_(cfg_.total_planes()),
+      gc_threshold_(cfg_.gc_threshold_blocks()) {
   channels_.resize(cfg_.channels);
   chips_.resize(cfg_.total_chips());
 }
@@ -38,7 +42,7 @@ Ftl::ReadResult Ftl::read_page(Lpn lpn, SimTime issue, OpAttribution* attr) {
       // Pre-conditioned data: full flash-read timing from the plane the
       // page would statically live on, version 0. No physical block
       // exists, so the aging ramps see none of these reads.
-      const auto plane = static_cast<std::uint32_t>(lpn % cfg_.total_planes());
+      const auto plane = static_cast<std::uint32_t>(lpn % total_planes_);
       const SimTime done =
           flash_read(plane, FlashArray::kNoBlock, 0, lpn, issue, attr);
       return {done, 0, true, false};
@@ -53,9 +57,8 @@ Ftl::ReadResult Ftl::read_page(Lpn lpn, SimTime issue, OpAttribution* attr) {
   const Ppn ppn = m->ppn;
   const std::uint64_t version = m->version;
   bool lost = false;
-  const SimTime done = flash_read(amap_.plane_of(ppn),
-                                  amap_.to_addr(ppn).block, ppn, lpn, issue,
-                                  attr, &lost);
+  const SimTime done = flash_read(amap_.plane_of(ppn), amap_.block_of(ppn),
+                                  ppn, lpn, issue, attr, &lost);
   if (lost) {
     // read_page is the only host-read entry point and the only path that
     // can go uncorrectable, so this stays exactly equal to the
@@ -214,16 +217,24 @@ SimTime Ftl::integrity_recover(std::uint32_t plane, std::uint32_t block,
 }
 
 std::uint32_t Ftl::next_plane_rr() {
-  const std::uint64_t idx = rr_counter_++;
-  const std::uint32_t ch = static_cast<std::uint32_t>(idx % cfg_.channels);
-  const std::uint32_t chip = static_cast<std::uint32_t>(
-      (idx / cfg_.channels) % cfg_.chips_per_channel);
-  const std::uint32_t plane = static_cast<std::uint32_t>(
-      (idx / (static_cast<std::uint64_t>(cfg_.channels) *
-              cfg_.chips_per_channel)) %
-      cfg_.planes_per_chip);
-  return (ch * cfg_.chips_per_channel + chip) * cfg_.planes_per_chip + plane;
+  // Position idx = rr_counter_ is channel idx % channels, chip
+  // (idx / channels) % chips_per_channel, plane (idx / (channels *
+  // chips_per_channel)) % planes_per_chip; rr_ holds exactly that.
+  const std::uint32_t picked =
+      (rr_.channel * cfg_.chips_per_channel + rr_.chip) *
+          cfg_.planes_per_chip +
+      rr_.plane;
+  ++rr_counter_;
+  if (++rr_.channel == cfg_.channels) {
+    rr_.channel = 0;
+    if (++rr_.chip == cfg_.chips_per_channel) {
+      rr_.chip = 0;
+      if (++rr_.plane == cfg_.planes_per_chip) rr_.plane = 0;
+    }
+  }
+  return picked;
 }
+
 
 std::uint32_t Ftl::pick_write_plane() {
   std::uint32_t plane = next_plane_rr();
@@ -233,7 +244,7 @@ std::uint32_t Ftl::pick_write_plane() {
   // sheds host writes onto the next candidates; if every plane is
   // saturated the device is genuinely full and the last candidate's
   // allocation check reports it.
-  for (std::uint32_t i = 1; i < cfg_.total_planes(); ++i) {
+  for (std::uint32_t i = 1; i < total_planes_; ++i) {
     if (array_.can_accept_page(plane)) return plane;
     plane = next_plane_rr();
   }
@@ -253,7 +264,7 @@ SimTime Ftl::maybe_close_stripe(std::uint32_t plane, Ppn fresh, SimTime t) {
   // it too — parity is XOR over *physical* pages, garbage included).
   const std::uint32_t chip = amap_.chip_global(plane);
   t = chips_[chip].acquire(t, cfg_.program_latency);
-  array_.set_stripe_parity(plane, amap_.to_addr(fresh).block,
+  array_.set_stripe_parity(plane, amap_.block_of(fresh),
                            array_.stripe_of(fresh));
   return t;
 }
@@ -276,7 +287,8 @@ void Ftl::maybe_collect(std::uint32_t plane, SimTime t) {
     ++metrics_.gc_runs;
     // Move still-valid pages within the plane (copyback: chip-internal
     // read + program, no bus transfer), then erase.
-    for (const Ppn old : array_.valid_pages(plane, victim)) {
+    array_.valid_pages(plane, victim, gc_pages_);
+    for (const Ppn old : gc_pages_) {
       const Lpn lpn = array_.lpn_at(old);
       const Ppn fresh = array_.program(plane, lpn);
       array_.invalidate(old);
@@ -313,6 +325,8 @@ void Ftl::maybe_collect(std::uint32_t plane, SimTime t) {
 SimTime Ftl::program_to_plane(std::uint32_t plane, Lpn lpn,
                               std::uint64_t version, SimTime issue,
                               OpAttribution* attr) {
+  REQB_CHECK_MSG(version <= kMaxVersion,
+                 "page version is beyond the 32-bit mapping entry");
   const ScopedTimer timer(profiler_, Profiler::Section::kFtlProgram);
   const std::uint32_t chip = amap_.chip_global(plane);
   const std::uint32_t ch = amap_.channel_of_plane(plane);
@@ -340,8 +354,7 @@ SimTime Ftl::program_to_plane(std::uint32_t plane, Lpn lpn,
     const double wear_extra =
         fault_ != nullptr && fault_->aging().enabled()
             ? fault_->aging().program_fail_extra(
-                  array_.block_wear(plane, amap_.to_addr(fresh).block)
-                      .pe_cycles)
+                  array_.block_wear(plane, amap_.block_of(fresh)).pe_cycles)
             : 0.0;
     if (fault_ == nullptr || attempt >= fault_->plan().max_program_retries ||
         !fault_->inject_program_fault(wear_extra)) {
@@ -352,7 +365,7 @@ SimTime Ftl::program_to_plane(std::uint32_t plane, Lpn lpn,
     // retry budget is declared grown-bad and closed, so the final attempt
     // lands on a fresh block and is forced to succeed.
     ++attempt;
-    const std::uint32_t failed_block = amap_.to_addr(fresh).block;
+    const std::uint32_t failed_block = amap_.block_of(fresh);
     array_.invalidate(fresh);
     const SimTime backoff_begin = t;
     t = chips_[chip].acquire(t, fault_->program_backoff(chip));
@@ -391,7 +404,8 @@ SimTime Ftl::program_to_plane(std::uint32_t plane, Lpn lpn,
 
   const auto [m, inserted] = l2p_.try_emplace(lpn);
   if (!inserted) array_.invalidate(m->ppn);
-  *m = Mapping{fresh, version};
+  *m = Mapping{static_cast<std::uint32_t>(fresh),
+               static_cast<std::uint32_t>(version)};
   ++metrics_.host_page_writes;
   if (trace_ != nullptr) {
     trace_->emit({issue, done - issue, lpn, version, EventKind::kPageProgram,
@@ -465,7 +479,8 @@ void Ftl::reclaim_block(std::uint32_t plane, std::uint32_t block, SimTime t,
   if (array_.is_active(plane, block)) array_.close_active(plane);
   const SimTime begin = t;
   std::uint64_t moved = 0;
-  for (const Ppn old : array_.valid_pages(plane, block)) {
+  array_.valid_pages(plane, block, gc_pages_);
+  for (const Ppn old : gc_pages_) {
     const Lpn lpn = array_.lpn_at(old);
     const Ppn fresh = array_.program(plane, lpn);
     array_.invalidate(old);
@@ -515,9 +530,8 @@ void Ftl::patrol_scrub(SimTime now) {
   }
   const ScopedTimer timer(profiler_, Profiler::Section::kGc);
   IntegrityMetrics& m = fault_->metrics().integrity;
-  const std::uint64_t total_blocks =
-      static_cast<std::uint64_t>(cfg_.total_planes()) *
-      cfg_.blocks_per_plane();
+  const std::uint64_t blocks_per_plane = cfg_.blocks_per_plane();
+  const std::uint64_t total_blocks = total_planes_ * blocks_per_plane;
   // Prediction-only walk: every examined valid page charges one read on
   // its block's chip (the scrubber really senses the data), but never
   // touches the wear counters or the RNG — a pass perturbs timing, not
@@ -528,11 +542,11 @@ void Ftl::patrol_scrub(SimTime now) {
        visited < total_blocks && spent < plan.scrub_time_budget; ++visited) {
     const std::uint32_t plane = scrub_plane_;
     const std::uint32_t block = scrub_block_;
-    if (++scrub_block_ >= cfg_.blocks_per_plane()) {
+    if (++scrub_block_ >= blocks_per_plane) {
       scrub_block_ = 0;
-      if (++scrub_plane_ >= cfg_.total_planes()) scrub_plane_ = 0;
+      if (++scrub_plane_ >= total_planes_) scrub_plane_ = 0;
     }
-    const std::uint64_t valid = array_.valid_pages(plane, block).size();
+    const std::uint64_t valid = array_.valid_count(plane, block);
     if (valid == 0) continue;
     const SimTime exam = static_cast<SimTime>(valid) * cfg_.read_latency;
     const std::uint32_t chip = amap_.chip_global(plane);
@@ -570,10 +584,10 @@ bool Ftl::update_degraded_mode(SimTime now) {
   const AgingPlan& plan = fault_->plan().aging;
   const std::uint64_t floor = plan.eol_free_block_floor > 0
                                   ? plan.eol_free_block_floor
-                                  : cfg_.gc_threshold_blocks() + 3;
+                                  : gc_threshold_ + 3;
   std::uint64_t min_reclaimable = ~0ull;
   std::uint32_t worst_plane = 0;
-  for (std::uint32_t p = 0; p < cfg_.total_planes(); ++p) {
+  for (std::uint32_t p = 0; p < total_planes_; ++p) {
     const std::uint64_t reclaimable = array_.reclaimable_blocks(p);
     if (reclaimable < min_reclaimable) {
       min_reclaimable = reclaimable;
@@ -612,10 +626,9 @@ bool Ftl::update_degraded_mode(SimTime now) {
 }
 
 std::uint64_t Ftl::gc_pressure_level(std::uint32_t headroom) const {
-  const std::uint64_t threshold = cfg_.gc_threshold_blocks();
-  const std::uint64_t target = threshold + headroom;
+  const std::uint64_t target = gc_threshold_ + headroom;
   std::uint64_t level = 0;
-  for (std::uint32_t p = 0; p < cfg_.total_planes(); ++p) {
+  for (std::uint32_t p = 0; p < total_planes_; ++p) {
     const std::uint64_t free = array_.free_blocks(p);
     if (free < target) level = std::max(level, target - free);
   }
@@ -656,7 +669,7 @@ void Ftl::register_metrics(MetricsRegistry& registry) const {
   });
   registry.register_gauge("flash.free_blocks", [this] {
     std::uint64_t total = 0;
-    for (std::uint32_t p = 0; p < cfg_.total_planes(); ++p) {
+    for (std::uint32_t p = 0; p < total_planes_; ++p) {
       total += array_.free_blocks(p);
     }
     return static_cast<double>(total);
@@ -688,7 +701,7 @@ void Ftl::audit(AuditReport& report) const {
   // physical page per mapping (GC moves swap mappings atomically between
   // host operations).
   std::uint64_t valid_total = 0;
-  for (std::uint32_t p = 0; p < cfg_.total_planes(); ++p) {
+  for (std::uint32_t p = 0; p < total_planes_; ++p) {
     valid_total += array_.valid_page_count(p);
   }
   REQB_AUDIT_MSG(report, valid_total == l2p_.size(),
@@ -836,7 +849,11 @@ void Ftl::deserialize(SnapshotReader& r) {
       throw SnapshotError("FTL snapshot L2P mappings are out of order, "
                           "repeated, or beyond the LPN bound");
     }
-    l2p_.try_emplace(lpn).first->ppn = ppn;
+    // The fields stay u64 in the format; the entry holds 32 bits.
+    if (ppn > SsdConfig::kMaxPhysicalPages) {
+      throw SnapshotError("FTL snapshot physical page is beyond 2^32 - 1");
+    }
+    l2p_.try_emplace(lpn).first->ppn = static_cast<std::uint32_t>(ppn);
     prev = lpn;
   }
   if (r.count(16) != mapped) {
@@ -848,7 +865,10 @@ void Ftl::deserialize(SnapshotReader& r) {
     if (versioned != lpn) {
       throw SnapshotError("FTL snapshot versions do not cover its mappings");
     }
-    m.version = version;
+    if (version > kMaxVersion) {
+      throw SnapshotError("FTL snapshot version is beyond 2^32 - 1");
+    }
+    m.version = static_cast<std::uint32_t>(version);
   });
   // The simulator re-registers pre-existing ranges at construction; the
   // checkpointed list replaces them wholesale so both paths agree.
@@ -861,10 +881,17 @@ void Ftl::deserialize(SnapshotReader& r) {
     preexisting_.emplace_back(begin, end);
   }
   rr_counter_ = r.u64();
+  rr_.channel = static_cast<std::uint32_t>(rr_counter_ % cfg_.channels);
+  rr_.chip = static_cast<std::uint32_t>((rr_counter_ / cfg_.channels) %
+                                        cfg_.chips_per_channel);
+  rr_.plane = static_cast<std::uint32_t>(
+      (rr_counter_ / (static_cast<std::uint64_t>(cfg_.channels) *
+                      cfg_.chips_per_channel)) %
+      cfg_.planes_per_chip);
   degraded_mode_ = r.b();
   scrub_plane_ = r.u32();
   scrub_block_ = r.u32();
-  if (scrub_plane_ >= cfg_.total_planes() ||
+  if (scrub_plane_ >= total_planes_ ||
       scrub_block_ >= cfg_.blocks_per_plane()) {
     throw SnapshotError("FTL snapshot's patrol-scrub cursor is outside "
                         "the device geometry");

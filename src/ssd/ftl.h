@@ -6,7 +6,7 @@
 // BPLRU-style whole-block flushes), runs greedy garbage collection, and
 // charges all operation timing on per-channel / per-chip FCFS timelines.
 //
-// A per-LPN 64-bit version travels with every programmed page; it is the
+// A per-LPN 32-bit version travels with every programmed page; it is the
 // end-to-end consistency oracle the test suite checks read-your-writes
 // against (no payload bytes are simulated).
 #pragma once
@@ -59,6 +59,9 @@ struct FlashMetrics {
 
 class Ftl {
  public:
+  /// Largest version a mapping entry stores (see Mapping).
+  static constexpr std::uint64_t kMaxVersion = 0xffffffffu;
+
   explicit Ftl(const SsdConfig& cfg);
 
   struct ReadResult {
@@ -103,7 +106,7 @@ class Ftl {
                        OpAttribution* attr = nullptr);
 
   bool is_mapped(Lpn lpn) const { return l2p_.contains(lpn); }
-  std::uint64_t version_of(Lpn lpn) const {
+  std::uint32_t version_of(Lpn lpn) const {
     const Mapping* m = l2p_.find(lpn);
     return m == nullptr ? 0 : m->version;
   }
@@ -192,6 +195,15 @@ class Ftl {
   void serialize(SnapshotWriter& w) const;
   void deserialize(SnapshotReader& r);
 
+  /// One entry per mapped LPN: where its data lives and the version the
+  /// host wrote there (the read-your-writes oracle travels with the data).
+  /// Both fit 32 bits: SsdConfig::validate caps the device below 2^32
+  /// physical pages, and the cache refuses a version past 2^32 - 1.
+  struct Mapping {
+    std::uint32_t ppn = 0;
+    std::uint32_t version = 0;
+  };
+
  private:
   /// Next plane in channel-major round-robin (consecutive pages land on
   /// consecutive channels, maximizing batch parallelism).
@@ -251,16 +263,16 @@ class Ftl {
   SsdConfig cfg_;
   AddressMap amap_;
   FlashArray array_;
+  // Geometry derived once from cfg_ (each SsdConfig accessor divides).
+  std::uint32_t total_planes_;
+  std::uint64_t gc_threshold_;  // cfg_.gc_threshold_blocks()
   std::vector<ResourceTimeline> channels_;
   std::vector<ResourceTimeline> chips_;
+  /// A GC or refresh victim's valid pages; reused across victims (the two
+  /// relocation loops never nest).
+  std::vector<Ppn> gc_pages_;
   bool in_preexisting(Lpn lpn) const;
 
-  /// One entry per mapped LPN: where its data lives and the version the
-  /// host wrote there (the read-your-writes oracle travels with the data).
-  struct Mapping {
-    Ppn ppn = 0;
-    std::uint64_t version = 0;
-  };
   LpnTable<Mapping> l2p_;
   /// Points a mapped LPN at its relocated physical page (GC and refresh
   /// moves keep the version).
@@ -271,6 +283,13 @@ class Ftl {
   }
   std::vector<std::pair<Lpn, Lpn>> preexisting_;  // sorted, disjoint
   std::uint64_t rr_counter_ = 0;
+  /// rr_counter_ decomposed channel-major, advanced by carries so a
+  /// write picks its plane without dividing.
+  struct RrCursor {
+    std::uint32_t channel = 0;
+    std::uint32_t chip = 0;
+    std::uint32_t plane = 0;
+  } rr_;
   bool degraded_mode_ = false;  // end-of-life read-mostly mode (aging)
   // Patrol-scrub cursor (integrity): next block to examine. Serialized,
   // so a resumed run continues the walk exactly where it stopped.

@@ -23,16 +23,18 @@ inline const char* to_string(IoType t) {
   return t == IoType::kRead ? "Read" : "Write";
 }
 
+/// 32 bytes: `type` sits after `pages` so the struct has no inner padding
+/// (replayed traces are held as vectors of these).
 struct IoRequest {
   /// Monotonically increasing per-trace identifier.
   std::uint64_t id = 0;
   /// Arrival time relative to trace start.
   SimTime arrival = 0;
-  IoType type = IoType::kRead;
   /// First logical page touched.
   Lpn lpn = 0;
   /// Number of consecutive pages touched; always >= 1.
   std::uint32_t pages = 1;
+  IoType type = IoType::kRead;
 
   bool is_write() const { return type == IoType::kWrite; }
   bool is_read() const { return type == IoType::kRead; }

@@ -9,13 +9,19 @@
 // the directory in order, so for_each visits LPNs in ascending order and
 // emission paths need no collect-and-sort.
 //
-// LpnHashMap<V> is for sets bounded by the cache capacity (Req-block's
-// page-to-block map): one open-addressing table with linear probing and
-// backward-shift deletion, doubling at load 1/2. Its iteration order is
-// hash order — never emit from it.
+// Chunks are allocated without zeroing their entries: an entry is written
+// when it becomes present, so a chunk's memory is first touched by the
+// entries actually stored (an 8-byte T makes a 32 KiB chunk).
 //
-// Both reject LPNs at or above kLpnBound on insertion (REQB_CHECK), so an
-// untrusted value can never size an allocation.
+// FlatHashMap<V, kKeyBound> is for sets bounded by the cache capacity
+// (Req-block's page-to-block map, its block-id index): one open-addressing
+// table with linear probing and backward-shift deletion, doubling at load
+// 1/2. Its iteration order is hash order — never emit from it.
+// LpnHashMap<V> is the LPN-keyed instance.
+//
+// Both reject keys at or above their bound (kLpnBound for LPNs) on
+// insertion (REQB_CHECK), so an untrusted value can never size an
+// allocation.
 #pragma once
 
 #include <array>
@@ -23,7 +29,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -49,7 +57,7 @@ class LpnTable {
     if (c >= dir_.size() || dir_[c] == nullptr) return nullptr;
     const Chunk& chunk = *dir_[c];
     const std::size_t i = lpn & (kChunkEntries - 1);
-    return chunk.has(i) ? &chunk.entries[i] : nullptr;
+    return chunk.has(i) ? &chunk.at(i) : nullptr;
   }
   T* find(Lpn lpn) { return const_cast<T*>(std::as_const(*this).find(lpn)); }
   bool contains(Lpn lpn) const { return find(lpn) != nullptr; }
@@ -60,12 +68,11 @@ class LpnTable {
   std::pair<T*, bool> try_emplace(Lpn lpn) {
     Chunk& chunk = chunk_for(lpn);
     const std::size_t i = lpn & (kChunkEntries - 1);
-    if (chunk.has(i)) return {&chunk.entries[i], false};
+    if (chunk.has(i)) return {&chunk.at(i), false};
     chunk.present[i >> 6] |= std::uint64_t{1} << (i & 63);
     ++chunk.live;
     ++size_;
-    chunk.entries[i] = T{};
-    return {&chunk.entries[i], true};
+    return {::new (chunk.storage + i * sizeof(T)) T{}, true};
   }
   T& operator[](Lpn lpn) { return *try_emplace(lpn).first; }
 
@@ -109,18 +116,28 @@ class LpnTable {
         for (std::uint64_t bits = chunk.present[w]; bits != 0;
              bits &= bits - 1) {
           const std::size_t i = w * 64 + std::countr_zero(bits);
-          fn(base + i, chunk.entries[i]);
+          fn(base + i, chunk.at(i));
         }
       }
     }
   }
 
  private:
+  static_assert(std::is_trivially_copyable_v<T> &&
+                std::is_trivially_destructible_v<T>);
   struct Chunk {
     std::array<std::uint64_t, kChunkEntries / 64> present{};
     std::uint32_t live = 0;
-    std::array<T, kChunkEntries> entries{};
+    /// Raw entry storage: an entry is constructed when it becomes present.
+    alignas(T) unsigned char storage[sizeof(T) * kChunkEntries];
     bool has(std::size_t i) const { return (present[i >> 6] >> (i & 63)) & 1; }
+    T& at(std::size_t i) {
+      return *std::launder(reinterpret_cast<T*>(storage + i * sizeof(T)));
+    }
+    const T& at(std::size_t i) const {
+      return *std::launder(
+          reinterpret_cast<const T*>(storage + i * sizeof(T)));
+    }
   };
 
   Chunk& chunk_for(Lpn lpn) {
@@ -131,7 +148,7 @@ class LpnTable {
       dir_.resize(c + 1);
     }
     if (dir_[c] == nullptr) {
-      dir_[c] = std::make_unique<Chunk>();
+      dir_[c] = std::make_unique_for_overwrite<Chunk>();
       ++chunks_;
     }
     return *dir_[c];
@@ -142,15 +159,15 @@ class LpnTable {
   std::size_t chunks_ = 0;
 };
 
-template <typename V>
-class LpnHashMap {
+template <typename V, std::uint64_t kKeyBound>
+class FlatHashMap {
  public:
-  LpnHashMap() { rehash(16); }
+  FlatHashMap() { rehash(16); }
 
   const V* find(Lpn lpn) const {
     for (std::size_t i = home(lpn);; i = (i + 1) & mask_) {
+      if (slots_[i].key == kEmpty) return nullptr;  // also for lpn == kEmpty
       if (slots_[i].key == lpn) return &slots_[i].value;
-      if (slots_[i].key == kEmpty) return nullptr;
     }
   }
   V* find(Lpn lpn) { return const_cast<V*>(std::as_const(*this).find(lpn)); }
@@ -158,9 +175,9 @@ class LpnHashMap {
 
   /// Inserts `lpn -> value` unless present; returns the stored value and
   /// whether it was inserted. Pointers stay valid until the next insert or
-  /// erase. Throws (REQB_CHECK) for lpn >= kLpnBound.
+  /// erase. Throws (REQB_CHECK) for lpn >= kKeyBound.
   std::pair<V*, bool> try_emplace(Lpn lpn, V value = V{}) {
-    REQB_CHECK_MSG(lpn < kLpnBound, "LPN " + std::to_string(lpn) +
+    REQB_CHECK_MSG(lpn < kKeyBound, "key " + std::to_string(lpn) +
                                         " is beyond the supported bound");
     if (2 * (size_ + 1) > slots_.size()) rehash(2 * slots_.size());
     std::size_t i = home(lpn);
@@ -176,9 +193,10 @@ class LpnHashMap {
   /// deletion keeps every probe chain gap-free (no tombstones).
   bool erase(Lpn lpn) {
     std::size_t i = home(lpn);
-    for (; slots_[i].key != lpn; i = (i + 1) & mask_) {
-      if (slots_[i].key == kEmpty) return false;
+    for (; slots_[i].key != kEmpty; i = (i + 1) & mask_) {
+      if (slots_[i].key == lpn) break;
     }
+    if (slots_[i].key == kEmpty) return false;  // also for lpn == kEmpty
     for (std::size_t j = (i + 1) & mask_; slots_[j].key != kEmpty;
          j = (j + 1) & mask_) {
       // Slot j may fill the hole at i when its home does not lie in the
@@ -204,7 +222,8 @@ class LpnHashMap {
   }
 
  private:
-  static constexpr Lpn kEmpty = kInvalidLpn;  // >= kLpnBound, never a key
+  // All ones: at or above any kKeyBound, so never a stored key.
+  static constexpr Lpn kEmpty = kInvalidLpn;
   struct Slot {
     Lpn key = kEmpty;
     V value{};
@@ -234,5 +253,8 @@ class LpnHashMap {
   unsigned shift_ = 0;
   std::size_t size_ = 0;
 };
+
+template <typename V>
+using LpnHashMap = FlatHashMap<V, kLpnBound>;
 
 }  // namespace reqblock

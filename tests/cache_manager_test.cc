@@ -12,6 +12,9 @@ using testing::policy_config;
 using testing::read_req;
 using testing::write_req;
 
+// One oracle/slot entry per written LPN: u32 version, 31-bit slot, flag.
+static_assert(sizeof(CacheManager::LpnState) == 8);
+
 TEST(CacheManagerTest, WriteInsertsCountedNotHits) {
   Harness h(policy_config("lru", 16));
   h.serve(write_req(0, 0, 4));

@@ -44,6 +44,8 @@ const RuleCase kCases[] = {
      "unordered_serialization_ok.cc"},
     {"no-unordered-serialization", "lpn_hash_map_serialization_bad.cc",
      "lpn_hash_map_serialization_ok.cc"},
+    {"no-unordered-serialization", "flat_hash_map_serialization_bad.cc",
+     "flat_hash_map_serialization_ok.cc"},
     {"no-raw-float-format", "raw_float_format_bad.cc",
      "raw_float_format_ok.cc"},
     {"check-macro-hygiene", "check_macro_bad.cc", "check_macro_ok.cc"},

@@ -1,13 +1,16 @@
 // Randomized property test for Req-block: a synthetic mixed read/write
 // trace replayed (a) directly against the policy with a deep audit after
 // every single operation, and (b) through the full CacheManager+FTL stack
-// with run-time audits forced to "full". Coverage counters prove the
+// with run-time audits forced to "full". A churn test checks that pooled
+// request blocks are recycled without carrying state between lives. Coverage counters prove the
 // stream exercised every interesting transition — split, promotion
 // (upgrade to SRL), downgraded merge, batch eviction, guard bypass — so a
 // green run means those paths ran *and* never violated an invariant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "core/req_block_policy.h"
@@ -150,6 +153,98 @@ TEST(ReqBlockProperty, FullStackRandomTraceUnderFullAudits) {
   AuditReport report("Ftl");
   h.ftl.audit(report);
   EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+// Pool churn: request blocks are recycled, not reallocated. A small buffer
+// is driven through many split / promote / merge cycles, audited after
+// every operation (the audit also checks that every free pooled block is
+// blank). Each time a request's pages land in the block created for it,
+// that block must carry nothing from an earlier life: exactly this
+// request's pages, a reset access count, the right split origin (none for
+// an insertion block), and a fresh link at the head of its list.
+TEST(ReqBlockProperty, PooledBlocksRecycleWithoutCarryingState) {
+  ReqBlockOptions opt;
+  opt.delta = 3;
+  ReqBlockPolicy policy(opt);
+  Rng rng(0xC0FFEE);
+  constexpr std::size_t kCapacity = 48;
+
+  const auto expect_fresh = [&](const ReqBlock* blk, const IoRequest& req,
+                                std::vector<Lpn> pages, ReqList level,
+                                std::uint64_t origin) {
+    ASSERT_NE(blk, nullptr);
+    EXPECT_EQ(blk->req_id, req.id);
+    EXPECT_EQ(blk->level, level);
+    EXPECT_EQ(blk->access_cnt, 1u);
+    EXPECT_EQ(blk->origin_id, origin);
+    EXPECT_EQ(policy.prev_in_list(blk), nullptr) << "not at its list head";
+    std::vector<Lpn> held = blk->pages;
+    std::sort(held.begin(), held.end());
+    std::sort(pages.begin(), pages.end());
+    EXPECT_EQ(held, pages);
+  };
+
+  std::unordered_map<const ReqBlock*, std::uint64_t> id_at;  // storage → id
+  std::uint64_t recycled = 0;
+  std::uint64_t splits = 0;
+  std::uint64_t promotions = 0;
+  std::uint64_t merges = 0;
+  std::uint64_t ops = 0;
+  const auto note_block = [&](const ReqBlock* blk) {
+    const auto [it, first_use] = id_at.try_emplace(blk, blk->block_id);
+    if (!first_use && it->second != blk->block_id) {
+      ++recycled;
+      it->second = blk->block_id;
+    }
+  };
+
+  for (std::uint64_t req_id = 1; req_id <= 20'000; ++req_id) {
+    const Lpn start = rng.next_below(96);
+    const auto len = 1 + static_cast<std::uint32_t>(rng.next_below(8));
+    const IoRequest req = write_req(req_id, start, len);
+    policy.begin_request(req);
+    std::vector<Lpn> inserted;
+    std::vector<Lpn> split;
+    std::uint64_t split_origin = 0;
+    for (std::uint32_t i = 0; i < len; ++i) {
+      const Lpn lpn = start + i;
+      const ReqBlock* blk = policy.block_of(lpn);
+      if (blk == nullptr) {
+        while (policy.pages() >= kCapacity) {
+          const std::size_t blocks_before = policy.block_count();
+          ASSERT_FALSE(policy.select_victim().empty());
+          // Victim plus its IRL origin: two blocks left in one batch.
+          if (blocks_before - policy.block_count() == 2) ++merges;
+        }
+        policy.on_insert(lpn, req, /*is_write=*/true);
+        inserted.push_back(lpn);
+        if (inserted.size() == 1) note_block(policy.block_of(lpn));
+        expect_fresh(policy.block_of(lpn), req, inserted, ReqList::kIRL, 0);
+      } else if (blk->page_count() > opt.delta) {
+        if (split.empty()) split_origin = blk->block_id;
+        policy.on_hit(lpn, req, /*is_write=*/true);
+        split.push_back(lpn);
+        ++splits;
+        if (split.size() == 1) note_block(policy.block_of(lpn));
+        expect_fresh(policy.block_of(lpn), req, split, ReqList::kDRL,
+                     split_origin);
+      } else {
+        policy.on_hit(lpn, req, /*is_write=*/true);
+        ++promotions;
+      }
+      ++ops;
+      expect_clean_audit(policy, ops);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+
+  EXPECT_GT(recycled, 5'000u) << "blocks were not reused from the pool";
+  // Live blocks never outnumber cached pages, plus the emptied origin of a
+  // split that outlives its replacement's creation by one step.
+  EXPECT_LE(policy.pooled_blocks(), kCapacity + 1);
+  EXPECT_GT(splits, 1'000u);
+  EXPECT_GT(promotions, 1'000u);
+  EXPECT_GT(merges, 100u);
 }
 
 // Guard property: a single in-flight request larger than the whole buffer

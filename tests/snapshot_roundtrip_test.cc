@@ -340,6 +340,90 @@ TEST(SnapshotLpnBoundTest, LiveRequestBeyondTheBoundIsRefused) {
   EXPECT_EQ(h.ftl.mapped_pages(), 0u);
 }
 
+// --- 32-bit mapping and oracle entries -------------------------------------
+
+// The snapshot fields stay u64, so a restore must refuse a physical page or
+// a version that does not fit the 32-bit entries, instead of truncating it.
+TEST(SnapshotEntryLimitTest, FtlRestoreRefusesPpnOrVersionPast32Bits) {
+  constexpr std::uint64_t k32 = std::uint64_t{1} << 32;
+  const auto ftl_bytes = [](std::uint64_t ppn, std::uint64_t version) {
+    SnapshotWriter w;
+    w.tag("ftl");
+    w.u64(1);
+    w.u64(7);  // lpn
+    w.u64(ppn);
+    w.u64(1);
+    w.u64(7);
+    w.u64(version);
+    return w.take();  // truncated past the version list
+  };
+  const auto refusal = [&](std::uint64_t ppn, std::uint64_t version) {
+    Ftl ftl(testing::tiny_ssd());
+    const std::string bytes = ftl_bytes(ppn, version);
+    SnapshotReader r(bytes);
+    try {
+      ftl.deserialize(r);
+    } catch (const SnapshotError& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_NE(refusal(k32, 1).find("physical page is beyond"),
+            std::string::npos);
+  EXPECT_NE(refusal(~std::uint64_t{0}, 1).find("physical page is beyond"),
+            std::string::npos);
+  EXPECT_NE(refusal(0, k32).find("version is beyond"), std::string::npos);
+  // The largest 32-bit values pass both checks; the bytes then run out.
+  EXPECT_EQ(refusal(k32 - 1, k32 - 1).find("is beyond"), std::string::npos);
+}
+
+TEST(SnapshotEntryLimitTest, CacheRestoreRefusesVersionPast32Bits) {
+  const auto cfg = testing::policy_config("lru", 64);
+  for (const std::uint64_t bad : {std::uint64_t{1} << 32, ~std::uint64_t{0}}) {
+    SnapshotWriter w;
+    w.tag("cache");
+    w.u64(0);  // no resident pages
+    w.u64(1);  // one oracle entry
+    w.u64(5);
+    w.u64(bad);
+    testing::Harness h(cfg);
+    const std::string bytes = w.take();
+    SnapshotReader r(bytes);
+    EXPECT_THROW(h.cache->deserialize(r), SnapshotError) << bad;
+  }
+}
+
+// A write that would take an LPN's version past 2^32 - 1 is refused; the
+// version does not wrap to 0.
+TEST(SnapshotEntryLimitTest, WritePastTheLastVersionIsRefused) {
+  const auto cfg = testing::policy_config("lru", 64);
+  testing::Harness fresh(cfg);
+  SnapshotWriter w;
+  w.tag("cache");
+  w.u64(0);  // no resident pages
+  w.u64(2);  // two oracle entries, at and one below the last version
+  w.u64(5);
+  w.u64(Ftl::kMaxVersion);
+  w.u64(6);
+  w.u64(Ftl::kMaxVersion - 1);
+  fresh.cache->metrics().serialize(w);
+  w.u64(0);  // lookups since the last metadata sample
+  fresh.cache->policy().serialize(w);
+
+  testing::Harness h(cfg);
+  SnapshotReader r(w.buffer());
+  h.cache->deserialize(r);
+  EXPECT_TRUE(r.at_end());
+
+  h.serve(testing::write_req(0, 6, 1));
+  EXPECT_EQ(h.cache->expected_version(6), Ftl::kMaxVersion);
+  EXPECT_THROW(h.serve(testing::write_req(1, 5, 1)), std::logic_error);
+  EXPECT_EQ(h.cache->expected_version(5), Ftl::kMaxVersion);
+  EXPECT_THROW(h.serve(testing::write_req(2, 6, 1)), std::logic_error);
+  EXPECT_EQ(h.cache->expected_version(6), Ftl::kMaxVersion);
+  EXPECT_EQ(h.cache->cached_pages(), 1u);  // only the accepted write
+}
+
 // --- FTL + flash array under fault injection --------------------------------
 
 TEST(SnapshotFtlTest, FaultedDeviceRoundTripsWithRetiredBlocks) {

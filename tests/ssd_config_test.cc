@@ -48,6 +48,24 @@ TEST(SsdConfigTest, GcThresholdNeverBelowTwo) {
   EXPECT_EQ(cfg.gc_threshold_blocks(), 2u);
 }
 
+// Physical page numbers are stored in 32 bits (FTL mapping entries,
+// address decoders): a device of 2^32 pages or more is refused, the largest
+// whole-block geometry below it is accepted.
+TEST(SsdConfigTest, ValidationRejectsTwoToTheThirtyTwoPhysicalPages) {
+  SsdConfig cfg = SsdConfig::paper_default();
+  cfg.capacity_bytes = (std::uint64_t{1} << 32) * cfg.page_size;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.capacity_bytes *= 2;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+
+  // One plane-row of blocks less: every plane loses one block.
+  const std::uint64_t row = std::uint64_t{cfg.pages_per_block} *
+                            cfg.total_planes();
+  cfg.capacity_bytes = ((std::uint64_t{1} << 32) - row) * cfg.page_size;
+  EXPECT_NO_THROW(cfg.validate());
+  EXPECT_EQ(cfg.total_pages(), SsdConfig::kMaxPhysicalPages + 1 - row);
+}
+
 TEST(SsdConfigTest, ValidationRejectsBadGeometry) {
   SsdConfig cfg = SsdConfig::paper_default();
   cfg.channels = 0;

@@ -123,8 +123,11 @@ TEST(FlashArrayTest, ValidPagesListsExactlyTheValidOnes) {
   arr.invalidate(ppns[0]);
   arr.invalidate(ppns[3]);
   const AddressMap& amap = arr.address_map();
-  const auto valid = arr.valid_pages(0, amap.to_addr(ppns[0]).block);
+  const std::uint32_t block = amap.to_addr(ppns[0]).block;
+  std::vector<Ppn> valid{ppns[0]};  // replaced, not appended to
+  arr.valid_pages(0, block, valid);
   EXPECT_EQ(valid.size(), cfg.pages_per_block - 2);
+  EXPECT_EQ(arr.valid_count(0, block), valid.size());
   for (const Ppn p : valid) {
     EXPECT_EQ(arr.state(p), PageState::kValid);
   }

@@ -13,6 +13,9 @@ namespace {
 using testing::micro_ssd;
 using testing::tiny_ssd;
 
+// One mapping entry per written LPN: 32-bit ppn and version.
+static_assert(sizeof(Ftl::Mapping) == 8);
+
 TEST(FtlTest, UnmappedReadServedByController) {
   Ftl ftl(tiny_ssd());
   const auto rr = ftl.read_page(42, 1000);

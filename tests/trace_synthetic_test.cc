@@ -9,6 +9,9 @@
 namespace reqblock {
 namespace {
 
+// Replayed streams are held as vectors of requests: no inner padding.
+static_assert(sizeof(IoRequest) == 32);
+
 WorkloadProfile small_profile() {
   WorkloadProfile p;
   p.name = "unit";

@@ -155,6 +155,10 @@ TEST(LpnHashMapTest, BoundIsRefused) {
   EXPECT_THROW(map.try_emplace(~Lpn{0}, 1), std::logic_error);
   EXPECT_EQ(map.size(), 0u);
   EXPECT_TRUE(map.try_emplace(kLpnBound - 1, 1).second);
+  // The all-ones key marks empty slots; it is never found or erased.
+  EXPECT_EQ(map.find(~Lpn{0}), nullptr);
+  EXPECT_FALSE(map.erase(~Lpn{0}));
+  EXPECT_EQ(map.size(), 1u);
 }
 
 }  // namespace

@@ -608,7 +608,8 @@ ContextPass build_context(const std::vector<Token>& t,
 
 // ---------------------------------------------------------------------------
 // Declaration pre-pass: per-file sets of float-typed names, double-returning
-// functions, and hash-ordered (unordered_{map,set}, LpnHashMap) variables.
+// functions, and hash-ordered (unordered_{map,set}, LpnHashMap,
+// FlatHashMap) variables.
 // ---------------------------------------------------------------------------
 
 struct Decls {
@@ -646,7 +647,7 @@ Decls collect_decls(const std::vector<Token>& t) {
         out.float_vars.insert(id->text);
       }
     } else if (name == "unordered_map" || name == "unordered_set" ||
-               name == "LpnHashMap") {
+               name == "LpnHashMap" || name == "FlatHashMap") {
       const Token* open = at(i + 1);
       if (open == nullptr || open->kind != Tok::kPunct || open->text != "<")
         continue;
@@ -905,7 +906,8 @@ class FileLinter {
     if (t[i].kind != Tok::kIdent || !next_is(t, i, "(")) return;
     if (!ctx_.ctx[i].emission) return;
     // `m.for_each(...)` / `m->for_each(...)` on a hash-ordered container
-    // (LpnHashMap) visits entries in hash order, like a range-for.
+    // (LpnHashMap, FlatHashMap) visits entries in hash order, like a
+    // range-for.
     if (t[i].text == "for_each" && i >= 2 && prev_is_member_access(t, i) &&
         t[i - 2].kind == Tok::kIdent) {
       report_unordered(i, t[i - 2].text);
