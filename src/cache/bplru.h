@@ -17,11 +17,12 @@
 // quantifies the difference.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "cache/write_buffer.h"
 #include "util/intrusive_list.h"
+#include "util/lpn_table.h"
+#include "util/node_pool.h"
 
 namespace reqblock {
 
@@ -45,9 +46,11 @@ class BplruPolicy final : public WriteBufferPolicy {
 
   std::string name() const override { return "BPLRU"; }
 
-  void on_hit(Lpn lpn, const IoRequest& req, bool is_write) override;
-  void on_insert(Lpn lpn, const IoRequest& req, bool is_write) override;
-  VictimBatch select_victim() override;
+  void on_hit(Lpn lpn, Slot slot, const IoRequest& req,
+              bool is_write) override;
+  void on_insert(Lpn lpn, Slot slot, const IoRequest& req,
+                 bool is_write) override;
+  void select_victim(VictimBatch& batch) override;
   std::size_t pages() const override { return total_pages_; }
   std::size_t occupied_pages() const override {
     return options_.block_unit_allocation
@@ -63,14 +66,15 @@ class BplruPolicy final : public WriteBufferPolicy {
   bool is_sequential_demoted(Lpn block_id) const;
 
   void audit(AuditReport& report) const override;
-  bool enumerate_pages(const std::function<void(Lpn)>& fn) const override;
+  bool enumerate_pages(
+      const std::function<void(Lpn, Slot)>& fn) const override;
   void serialize(SnapshotWriter& w) const override;
-  void deserialize(SnapshotReader& r) override;
+  void deserialize(SnapshotReader& r, const SlotOf& slot_of) override;
 
  private:
   struct Block {
     Lpn block_id = 0;
-    std::vector<Lpn> pages;
+    std::vector<SlotPage> pages;
     std::uint32_t next_seq_offset = 0;  // sequential-write detector
     bool sequential = true;
     bool demoted = false;
@@ -78,10 +82,15 @@ class BplruPolicy final : public WriteBufferPolicy {
   };
 
   Lpn block_of(Lpn lpn) const { return lpn / pages_per_block_; }
+  /// A pooled block reset to a fresh `id` (keeping its pages capacity)
+  /// and indexed; the caller links it.
+  Block* acquire_block(Lpn id);
 
   std::uint32_t pages_per_block_;
   BplruOptions options_;
-  std::unordered_map<Lpn, Block> blocks_;
+  NodePool<Block> pool_;
+  FlatHashMap<Block*, kLpnBound> blocks_;  // live blocks by block id
+  std::vector<bool> padding_cached_;  // select_victim scratch, by offset
   IntrusiveList<Block, &Block::hook> lru_;
   std::size_t total_pages_ = 0;
 };

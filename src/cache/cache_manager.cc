@@ -89,17 +89,18 @@ SimTime CacheManager::evict_once(SimTime now, bool& evicted,
                                  OpAttribution* span) {
   const ScopedTimer timer(profiler_, Profiler::Section::kEvictFlush);
   if (span != nullptr) *span = OpAttribution{};
-  VictimBatch victim = policy_->select_victim();
-  if (victim.empty()) {
+  victim_.clear();
+  policy_->select_victim(victim_);
+  if (victim_.empty()) {
     evicted = false;
     return now;
   }
   evicted = true;
   ++metrics_.evictions;
 
-  std::vector<FlushPage> flush;
-  flush.reserve(victim.pages.size() + victim.padding_reads.size());
-  for (const Lpn lpn : victim.pages) {
+  std::vector<FlushPage>& flush = flush_;
+  flush.clear();
+  for (const Lpn lpn : victim_.pages) {
     LpnState* st = lpns_.find(lpn);
     REQB_CHECK_MSG(st != nullptr && st->slot != kNoSlot,
                    "policy evicted a page the cache does not hold");
@@ -121,7 +122,7 @@ SimTime CacheManager::evict_once(SimTime now, bool& evicted,
   SimTime padding_done = now;
   OpAttribution padding_crit;
   OpAttribution read_attr;
-  for (const Lpn lpn : victim.padding_reads) {
+  for (const Lpn lpn : victim_.padding_reads) {
     if (!ftl_.is_mapped(lpn) || is_resident(lpn)) continue;
     const auto rr = ftl_.read_page(lpn, now, &read_attr);
     if (rr.complete > padding_done) {
@@ -148,7 +149,7 @@ SimTime CacheManager::evict_once(SimTime now, bool& evicted,
   const SimTime done = flush.empty()
                            ? now  // all-clean victim: space is free at once
                            : ftl_.program_batch(flush, padding_done,
-                                                victim.colocate, &batch_attr);
+                                                victim_.colocate, &batch_attr);
   if (span != nullptr && !flush.empty()) {
     // [now, padding_done] carries the critical padding read's fault share;
     // [padding_done, done] carries the batch's critical-page GC/fault.
@@ -157,8 +158,8 @@ SimTime CacheManager::evict_once(SimTime now, bool& evicted,
     span->fault = padding_crit.fault + batch_attr.fault;
   }
   if (trace_ != nullptr) {
-    const Lpn first = victim.pages.empty() ? 0 : victim.pages.front();
-    trace_->emit({now, done - now, first, victim.pages.size(),
+    const Lpn first = victim_.pages.front();
+    trace_->emit({now, done - now, first, victim_.pages.size(),
                   EventKind::kCacheEvict, kTrackManager, 0});
     if (!flush.empty()) {
       trace_->emit({now, done - now, first, flush.size(),
@@ -245,7 +246,7 @@ SimTime CacheManager::serve_write(const IoRequest& req, RequestBreakdown* bd) {
         trace_->emit({issue, 0, lpn, 1, EventKind::kCacheHit,
                       kTrackManager, 0});
       }
-      policy_->on_hit(lpn, req, /*is_write=*/true);
+      policy_->on_hit(lpn, st.slot, req, /*is_write=*/true);
       const SimTime cand = issue + ftl_.config().cache_access_latency;
       if (cand > done) {
         done = cand;
@@ -311,7 +312,7 @@ SimTime CacheManager::serve_write(const IoRequest& req, RequestBreakdown* bd) {
       trace_->emit({admit_at, 0, lpn, 1, EventKind::kCacheInsert,
                     kTrackManager, 0});
     }
-    policy_->on_insert(lpn, req, /*is_write=*/true);
+    policy_->on_insert(lpn, st.slot, req, /*is_write=*/true);
     const SimTime cand = admit_at + ftl_.config().cache_access_latency;
     if (cand > done) {
       done = cand;
@@ -359,7 +360,7 @@ SimTime CacheManager::serve_read(const IoRequest& req, RequestBreakdown* bd,
         trace_->emit({req.arrival, 0, lpn, 0, EventKind::kCacheHit,
                       kTrackManager, 0});
       }
-      policy_->on_hit(lpn, req, /*is_write=*/false);
+      policy_->on_hit(lpn, st->slot, req, /*is_write=*/false);
       const SimTime cand = req.arrival + ftl_.config().cache_access_latency;
       if (cand > done) {
         done = cand;
@@ -410,7 +411,8 @@ SimTime CacheManager::serve_read(const IoRequest& req, RequestBreakdown* bd,
         chain.fault += evict_span.fault;
       }
       if (admitted) {
-        PageEntry& entry = occupy(lpn, lpns_[lpn]);
+        LpnState& admit_st = lpns_[lpn];
+        PageEntry& entry = occupy(lpn, admit_st);
         entry.version = rr.version;
         entry.dirty = false;
         entry.insert_req_pages = req.pages;
@@ -420,7 +422,7 @@ SimTime CacheManager::serve_read(const IoRequest& req, RequestBreakdown* bd,
           trace_->emit({cursor, 0, lpn, 0, EventKind::kCacheInsert,
                         kTrackManager, 0});
         }
-        policy_->on_insert(lpn, req, /*is_write=*/false);
+        policy_->on_insert(lpn, admit_st.slot, req, /*is_write=*/false);
         cand = cursor;
         chained = true;
       }
@@ -533,15 +535,20 @@ void CacheManager::audit(AuditReport& report, AuditLevel depth) const {
 
   // Exact page-set equality: the policy tracks precisely the resident set
   // (so the dirty set, a subset of residency, is fully covered by
-  // replacement bookkeeping).
+  // replacement bookkeeping), each page in the slot the manager gave it
+  // and no slot twice.
+  std::vector<bool> seen(slots_.size(), false);
   std::size_t policy_pages = 0;
   bool mismatch_logged = false;
-  const bool enumerable = policy_->enumerate_pages([&](Lpn lpn) {
+  const bool enumerable = policy_->enumerate_pages([&](Lpn lpn, Slot slot) {
     ++policy_pages;
-    if (!is_resident(lpn) && !mismatch_logged) {
-      report.fail("policy page resident in manager",
-                  "policy tracks page " + std::to_string(lpn) +
-                      " the manager does not hold");
+    if (slot < slots_.size() && !seen[slot] && slots_[slot].lpn == lpn) {
+      seen[slot] = true;
+    } else if (!mismatch_logged) {
+      report.fail("policy page in its manager slot",
+                  "policy tracks page " + std::to_string(lpn) + " in slot " +
+                      std::to_string(slot) +
+                      ", which the manager does not hold it in");
       mismatch_logged = true;  // one witness is enough; sizes close the set
     }
   });
@@ -558,10 +565,11 @@ SimTime CacheManager::power_loss(SimTime at, FaultInjector& fault) {
   policy_->on_power_loss();  // release in-flight eviction guards
   std::uint64_t lost_dirty = 0;
   while (policy_->pages() > 0) {
-    VictimBatch victim = policy_->select_victim();
-    REQB_CHECK_MSG(!victim.empty(),
+    victim_.clear();
+    policy_->select_victim(victim_);
+    REQB_CHECK_MSG(!victim_.empty(),
                    "policy withheld pages while draining after power loss");
-    for (const Lpn lpn : victim.pages) {
+    for (const Lpn lpn : victim_.pages) {
       LpnState* st = lpns_.find(lpn);
       REQB_CHECK_MSG(st != nullptr && st->slot != kNoSlot,
                      "policy evicted a page the cache does not hold");
@@ -762,7 +770,23 @@ void CacheManager::deserialize(SnapshotReader& r) {
   }
   metrics_.deserialize(r);
   lookup_since_sample_ = r.u64();
-  policy_->deserialize(r);
+  // The slots were just re-occupied in ascending LPN order; the policy
+  // rebinds its slot-indexed state to them.
+  policy_->deserialize(r, [this](Lpn lpn) {
+    const LpnState* st = lpns_.find(lpn);
+    if (st == nullptr || st->slot == kNoSlot) {
+      throw SnapshotError("policy snapshot names page " +
+                          std::to_string(lpn) +
+                          ", which the cache does not hold");
+    }
+    return static_cast<Slot>(st->slot);
+  });
+  if (policy_->pages() != cached_pages()) {
+    throw SnapshotError("policy snapshot tracks " +
+                        std::to_string(policy_->pages()) +
+                        " pages, the cache holds " +
+                        std::to_string(cached_pages()));
+  }
 }
 
 }  // namespace reqblock

@@ -173,8 +173,6 @@ class CacheManager {
   void serialize(SnapshotWriter& w) const;
   void deserialize(SnapshotReader& r);
 
-  /// Slot index of an LpnState that holds no cached page (31 bits).
-  static constexpr std::uint32_t kNoSlot = (std::uint32_t{1} << 31) - 1;
   /// Per-LPN state, one 8-byte lookup for both roles: the write oracle's
   /// last version and, while the page is cached, its slot.
   struct LpnState {
@@ -231,6 +229,10 @@ class CacheManager {
   std::vector<PageEntry> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t dirty_pages_ = 0;  // resident entries with dirty == true
+  /// Eviction scratch, reused by every evict_once and power-loss drain so
+  /// the eviction path does not allocate once warm.
+  VictimBatch victim_;
+  std::vector<FlushPage> flush_;
   CacheMetrics metrics_;
   std::uint64_t lookup_since_sample_ = 0;
   TraceBuffer* trace_ = nullptr;  // non-null only when cache events are on

@@ -12,132 +12,150 @@ FabPolicy::FabPolicy(std::uint32_t pages_per_block)
   REQB_CHECK_MSG(pages_per_block_ >= 1, "block must hold pages");
 }
 
-void FabPolicy::reindex(Lpn block_id, std::size_t old_count,
-                        std::size_t new_count) {
-  if (old_count != 0) {
-    auto it = by_count_.find(old_count);
-    REQB_DCHECK(it != by_count_.end());
-    it->second.erase(block_id);
-    if (it->second.empty()) by_count_.erase(it);
-  }
-  if (new_count != 0) by_count_[new_count].insert(block_id);
+FabPolicy::Group* FabPolicy::add_group(Lpn block_id) {
+  Group* g = pool_.acquire();
+  g->block_id = block_id;
+  groups_.try_emplace(block_id, g);
+  heap_.push_back(g);
+  g->heap_pos = heap_.size() - 1;
+  return g;
 }
 
-void FabPolicy::on_hit(Lpn lpn, const IoRequest&, bool) {
+void FabPolicy::sift_up(std::size_t pos) {
+  Group* g = heap_[pos];
+  while (pos > 0 && before(g, heap_[(pos - 1) / 2])) {
+    place(pos, heap_[(pos - 1) / 2]);
+    pos = (pos - 1) / 2;
+  }
+  place(pos, g);
+}
+
+void FabPolicy::sift_down(std::size_t pos) {
+  Group* g = heap_[pos];
+  for (;;) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= heap_.size()) break;
+    if (child + 1 < heap_.size() && before(heap_[child + 1], heap_[child])) {
+      ++child;
+    }
+    if (!before(heap_[child], g)) break;
+    place(pos, heap_[child]);
+    pos = child;
+  }
+  place(pos, g);
+}
+
+void FabPolicy::on_hit(Lpn lpn, Slot, const IoRequest&, bool) {
   // FAB considers only group size; hits change nothing.
   (void)lpn;
   REQB_DCHECK(groups_.contains(block_of(lpn)));
 }
 
-void FabPolicy::on_insert(Lpn lpn, const IoRequest&, bool) {
-  Group& g = groups_[block_of(lpn)];
-  reindex(block_of(lpn), g.pages.size(), g.pages.size() + 1);
-  g.pages.push_back(lpn);
+void FabPolicy::on_insert(Lpn lpn, Slot slot, const IoRequest&, bool) {
+  Group* const* found = groups_.find(block_of(lpn));
+  Group* g = found != nullptr ? *found : add_group(block_of(lpn));
+  g->pages.push_back({static_cast<std::uint32_t>(lpn), slot});
   ++total_pages_;
+  sift_up(g->heap_pos);  // a larger group only moves toward the top
 }
 
-VictimBatch FabPolicy::select_victim() {
-  VictimBatch batch;
-  if (by_count_.empty()) return batch;
-  const auto largest = std::prev(by_count_.end());
-  REQB_DCHECK(!largest->second.empty());
-  const Lpn block_id = *largest->second.begin();
-  auto it = groups_.find(block_id);
-  REQB_DCHECK(it != groups_.end());
-  batch.pages = std::move(it->second.pages);
-  reindex(block_id, batch.pages.size(), 0);
-  groups_.erase(it);
-  total_pages_ -= batch.pages.size();
-  return batch;
+void FabPolicy::select_victim(VictimBatch& batch) {
+  if (heap_.empty()) return;
+  Group* victim = heap_.front();
+  for (const SlotPage& p : victim->pages) batch.pages.push_back(p.lpn);
+  total_pages_ -= victim->pages.size();
+  victim->pages.clear();
+  groups_.erase(victim->block_id);
+  pool_.release(victim);
+  Group* last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) {
+    place(0, last);
+    sift_down(0);
+  }
 }
 
 std::size_t FabPolicy::group_size(Lpn block_id) const {
-  const auto it = groups_.find(block_id);
-  return it == groups_.end() ? 0 : it->second.pages.size();
+  Group* const* found = groups_.find(block_id);
+  return found == nullptr ? 0 : (*found)->pages.size();
 }
 
 void FabPolicy::audit(AuditReport& report) const {
+  REQB_AUDIT_MSG(report, heap_.size() == groups_.size(),
+                 "heap holds " + std::to_string(heap_.size()) +
+                     " groups, table holds " + std::to_string(groups_.size()));
   std::size_t pages = 0;
-  for (const auto& [block_id, group] : groups_) {
-    pages += group.pages.size();
-    REQB_AUDIT_MSG(report, !group.pages.empty(),
-                   "empty group for block " + std::to_string(block_id));
-    for (const Lpn lpn : group.pages) {
-      REQB_AUDIT_MSG(report, block_of(lpn) == block_id,
-                     "page " + std::to_string(lpn) + " filed under block " +
-                         std::to_string(block_id) + " but belongs to " +
-                         std::to_string(block_of(lpn)));
+  for (std::size_t pos = 0; pos < heap_.size(); ++pos) {
+    const Group* g = heap_[pos];
+    const std::string tag = "block " + std::to_string(g->block_id);
+    pages += g->pages.size();
+    Group* const* found = groups_.find(g->block_id);
+    REQB_AUDIT_MSG(report, found != nullptr && *found == g,
+                   tag + " on the heap but not in the group table");
+    REQB_AUDIT_MSG(report, g->heap_pos == pos,
+                   tag + " at heap position " + std::to_string(pos) +
+                       " records " + std::to_string(g->heap_pos));
+    REQB_AUDIT_MSG(report, pos == 0 || !before(g, heap_[(pos - 1) / 2]),
+                   tag + " outranks its heap parent");
+    REQB_AUDIT_MSG(report, !g->pages.empty(), "empty group for " + tag);
+    for (const SlotPage& p : g->pages) {
+      REQB_AUDIT_MSG(report, block_of(p.lpn) == g->block_id,
+                     "page " + std::to_string(p.lpn) + " filed under " + tag +
+                         " but belongs to block " +
+                         std::to_string(block_of(p.lpn)));
     }
-    const auto ct = by_count_.find(group.pages.size());
-    REQB_AUDIT_MSG(report,
-                   ct != by_count_.end() && ct->second.contains(block_id),
-                   "block " + std::to_string(block_id) + " with " +
-                       std::to_string(group.pages.size()) +
-                       " pages missing from the size index");
   }
   REQB_AUDIT_MSG(report, pages == total_pages_,
                  "groups hold " + std::to_string(pages) +
                      " pages, counter says " + std::to_string(total_pages_));
-  std::size_t indexed = 0;
-  for (const auto& [count, blocks] : by_count_) {
-    REQB_AUDIT_MSG(report, count >= 1 && !blocks.empty(),
-                   "degenerate size-index class " + std::to_string(count));
-    indexed += blocks.size();
-    for (const Lpn block_id : blocks) {
-      const auto it = groups_.find(block_id);
-      REQB_AUDIT_MSG(report,
-                     it != groups_.end() && it->second.pages.size() == count,
-                     "size index lists block " + std::to_string(block_id) +
-                         " at count " + std::to_string(count));
-    }
-  }
-  REQB_AUDIT_MSG(report, indexed == groups_.size(),
-                 "size index covers " + std::to_string(indexed) +
-                     " blocks, group table holds " +
-                     std::to_string(groups_.size()));
 }
 
-bool FabPolicy::enumerate_pages(const std::function<void(Lpn)>& fn) const {
-  for (const auto& [block_id, group] : groups_) {
-    for (const Lpn lpn : group.pages) fn(lpn);
+bool FabPolicy::enumerate_pages(
+    const std::function<void(Lpn, Slot)>& fn) const {
+  for (const Group* g : heap_) {
+    for (const SlotPage& p : g->pages) fn(p.lpn, p.slot);
   }
   return true;
 }
 
 void FabPolicy::serialize(SnapshotWriter& w) const {
   w.tag("fab");
-  // Groups sorted by block id for byte determinism; the size index is
-  // derived state and rebuilt on restore. Page order inside a group is
-  // preserved (it is the flush order of the victim batch).
-  std::vector<Lpn> ids;
-  ids.reserve(groups_.size());
-  for (const auto& [block_id, group] : groups_) ids.push_back(block_id);
-  std::sort(ids.begin(), ids.end());
-  w.u64(ids.size());
-  for (const Lpn block_id : ids) {
-    w.u64(block_id);
-    const Group& g = groups_.at(block_id);
-    w.u64(g.pages.size());
-    for (const Lpn lpn : g.pages) w.u64(lpn);
+  // Groups sorted by block id for byte determinism; the heap is derived
+  // state and rebuilt on restore. Page order inside a group is preserved
+  // (it is the flush order of the victim batch).
+  std::vector<const Group*> sorted(heap_.begin(), heap_.end());
+  std::sort(sorted.begin(), sorted.end(),
+            [](const Group* a, const Group* b) {
+              return a->block_id < b->block_id;
+            });
+  w.u64(sorted.size());
+  for (const Group* g : sorted) {
+    w.u64(g->block_id);
+    w.u64(g->pages.size());
+    for (const SlotPage& p : g->pages) w.u64(p.lpn);
   }
 }
 
-void FabPolicy::deserialize(SnapshotReader& r) {
+void FabPolicy::deserialize(SnapshotReader& r, const SlotOf& slot_of) {
   r.tag("fab");
-  REQB_CHECK_MSG(groups_.empty(), "deserialize into a non-fresh FAB policy");
+  REQB_CHECK_MSG(heap_.empty(), "deserialize into a non-fresh FAB policy");
   const std::uint64_t group_count = r.u64();
   for (std::uint64_t gi = 0; gi < group_count; ++gi) {
     const Lpn block_id = r.u64();
     const std::uint64_t pages = r.count(8);
     if (pages == 0) throw SnapshotError("FAB snapshot has an empty group");
-    auto [it, inserted] = groups_.try_emplace(block_id);
-    if (!inserted) throw SnapshotError("FAB snapshot repeats a block");
-    it->second.pages.reserve(pages);
-    for (std::uint64_t i = 0; i < pages; ++i) {
-      it->second.pages.push_back(r.u64());
+    if (block_id >= kLpnBound || groups_.contains(block_id)) {
+      throw SnapshotError("FAB snapshot repeats a block or names one "
+                          "beyond the LPN bound");
     }
-    reindex(block_id, 0, pages);
+    Group* g = add_group(block_id);
+    g->pages.reserve(pages);
+    for (std::uint64_t i = 0; i < pages; ++i) {
+      const Lpn lpn = r.u64();
+      g->pages.push_back({static_cast<std::uint32_t>(lpn), slot_of(lpn)});
+    }
     total_pages_ += pages;
+    sift_up(g->heap_pos);
   }
 }
 

@@ -1,35 +1,14 @@
 // Page-granularity FIFO (insertion-order eviction; hits do not promote).
 #pragma once
 
-#include <unordered_map>
-
-#include "cache/write_buffer.h"
-#include "util/intrusive_list.h"
+#include "cache/lru.h"
 
 namespace reqblock {
 
-class FifoPolicy final : public WriteBufferPolicy {
+class FifoPolicy final : public PageListPolicy {
  public:
-  std::string name() const override { return "FIFO"; }
-
-  void on_hit(Lpn lpn, const IoRequest& req, bool is_write) override;
-  void on_insert(Lpn lpn, const IoRequest& req, bool is_write) override;
-  VictimBatch select_victim() override;
-  std::size_t pages() const override { return nodes_.size(); }
-  std::size_t metadata_bytes() const override { return nodes_.size() * 12; }
-  void audit(AuditReport& report) const override;
-  bool enumerate_pages(const std::function<void(Lpn)>& fn) const override;
-  void serialize(SnapshotWriter& w) const override;
-  void deserialize(SnapshotReader& r) override;
-
- private:
-  struct Node {
-    Lpn lpn = 0;
-    ListHook hook;
-  };
-
-  std::unordered_map<Lpn, Node> nodes_;
-  IntrusiveList<Node, &Node::hook> list_;
+  explicit FifoPolicy(std::uint64_t capacity_pages)
+      : PageListPolicy(capacity_pages, /*promote_on_hit=*/false, 0) {}
 };
 
 }  // namespace reqblock

@@ -14,9 +14,11 @@ namespace reqblock {
 
 std::unique_ptr<WriteBufferPolicy> make_policy(const PolicyConfig& cfg) {
   const std::string& n = cfg.name;
-  if (iequals(n, "lru")) return std::make_unique<LruPolicy>();
-  if (iequals(n, "fifo")) return std::make_unique<FifoPolicy>();
-  if (iequals(n, "lfu")) return std::make_unique<LfuPolicy>();
+  if (iequals(n, "lru")) return std::make_unique<LruPolicy>(cfg.capacity_pages);
+  if (iequals(n, "fifo")) {
+    return std::make_unique<FifoPolicy>(cfg.capacity_pages);
+  }
+  if (iequals(n, "lfu")) return std::make_unique<LfuPolicy>(cfg.capacity_pages);
   if (iequals(n, "cflru")) {
     return std::make_unique<CflruPolicy>(cfg.capacity_pages,
                                          cfg.cflru_window);
@@ -31,7 +33,7 @@ std::unique_ptr<WriteBufferPolicy> make_policy(const PolicyConfig& cfg) {
     return std::make_unique<VbbmsPolicy>(cfg.capacity_pages, cfg.vbbms);
   }
   if (iequals(n, "reqblock") || iequals(n, "req-block")) {
-    return std::make_unique<ReqBlockPolicy>(cfg.reqblock);
+    return std::make_unique<ReqBlockPolicy>(cfg.capacity_pages, cfg.reqblock);
   }
   throw std::invalid_argument("unknown cache policy: " + n);
 }

@@ -17,201 +17,158 @@ VbbmsPolicy::VbbmsPolicy(std::uint64_t capacity_pages, VbbmsOptions options)
       1, static_cast<std::uint64_t>(static_cast<double>(capacity_pages) *
                                     opt_.random_fraction));
   seq_quota_ = std::max<std::uint64_t>(1, capacity_pages - random_quota_);
+  random_.vb_pages = opt_.random_vb_pages;
+  seq_.vb_pages = opt_.seq_vb_pages;
+  page_is_seq_.resize(capacity_pages);
 }
 
-void VbbmsPolicy::on_hit(Lpn lpn, const IoRequest&, bool) {
-  const auto region = page_is_seq_.find(lpn);
-  REQB_CHECK_MSG(region != page_is_seq_.end(), "VBBMS hit on untracked page");
-  if (region->second) return;  // FIFO region: recency is ignored
-  const std::uint64_t vb_id = lpn / opt_.random_vb_pages;
-  const auto it = random_vbs_.find(vb_id);
-  REQB_DCHECK(it != random_vbs_.end());
-  random_lru_.move_to_front(&it->second);
+VbbmsPolicy::VBlock* VbbmsPolicy::vblock_for(Region& region, Lpn lpn,
+                                              bool& created) {
+  const std::uint64_t vb_id = lpn / region.vb_pages;
+  VBlock* const* found = region.vbs.find(vb_id);
+  created = found == nullptr;
+  if (!created) return *found;
+  VBlock* vb = pool_.acquire();
+  vb->vb_id = vb_id;
+  region.vbs.try_emplace(vb_id, vb);
+  region.list.push_front(vb);
+  return vb;
 }
 
-void VbbmsPolicy::on_insert(Lpn lpn, const IoRequest& req, bool) {
+void VbbmsPolicy::on_hit(Lpn lpn, Slot slot, const IoRequest&, bool) {
+  REQB_CHECK_MSG(slot < page_is_seq_.size(), "VBBMS hit on an unknown slot");
+  if (page_is_seq_[slot]) return;  // FIFO region: recency is ignored
+  VBlock* const* vb = random_.vbs.find(lpn / random_.vb_pages);
+  REQB_CHECK_MSG(vb != nullptr, "VBBMS hit on untracked page");
+  random_.list.move_to_front(*vb);
+}
+
+void VbbmsPolicy::on_insert(Lpn lpn, Slot slot, const IoRequest& req, bool) {
+  REQB_CHECK_MSG(slot < page_is_seq_.size(),
+                 "VBBMS insert into an unknown slot");
   const bool seq = req.pages >= opt_.seq_request_threshold;
-  page_is_seq_.emplace(lpn, seq);
-  if (seq) {
-    const std::uint64_t vb_id = lpn / opt_.seq_vb_pages;
-    auto [it, created] = seq_vbs_.try_emplace(vb_id);
-    if (created) {
-      it->second.vb_id = vb_id;
-      seq_fifo_.push_front(&it->second);
-    }
-    it->second.pages.push_back(lpn);
-    ++seq_pages_;
-  } else {
-    const std::uint64_t vb_id = lpn / opt_.random_vb_pages;
-    auto [it, created] = random_vbs_.try_emplace(vb_id);
-    if (created) {
-      it->second.vb_id = vb_id;
-      random_lru_.push_front(&it->second);
-    } else {
-      random_lru_.move_to_front(&it->second);
-    }
-    it->second.pages.push_back(lpn);
-    ++random_pages_;
-  }
+  page_is_seq_[slot] = seq;
+  Region& region = seq ? seq_ : random_;
+  bool created = false;
+  VBlock* vb = vblock_for(region, lpn, created);
+  // The random region is an LRU over vblocks; the sequential one a FIFO.
+  if (!seq && !created) region.list.move_to_front(vb);
+  vb->pages.push_back({static_cast<std::uint32_t>(lpn), slot});
+  ++region.pages;
 }
 
-VictimBatch VbbmsPolicy::evict_random() {
-  VictimBatch batch;
-  VBlock* victim = random_lru_.pop_back();
-  if (victim == nullptr) return batch;
-  batch.pages = std::move(victim->pages);
-  random_pages_ -= batch.pages.size();
-  for (const Lpn lpn : batch.pages) page_is_seq_.erase(lpn);
-  random_vbs_.erase(victim->vb_id);
-  return batch;
+void VbbmsPolicy::evict_from(Region& region, VictimBatch& batch) {
+  VBlock* victim = region.list.pop_back();  // LRU / FIFO: oldest out
+  if (victim == nullptr) return;
+  for (const SlotPage& p : victim->pages) batch.pages.push_back(p.lpn);
+  region.pages -= victim->pages.size();
+  victim->pages.clear();
+  region.vbs.erase(victim->vb_id);
+  pool_.release(victim);
 }
 
-VictimBatch VbbmsPolicy::evict_sequential() {
-  VictimBatch batch;
-  VBlock* victim = seq_fifo_.pop_back();  // FIFO: oldest out
-  if (victim == nullptr) return batch;
-  batch.pages = std::move(victim->pages);
-  seq_pages_ -= batch.pages.size();
-  for (const Lpn lpn : batch.pages) page_is_seq_.erase(lpn);
-  seq_vbs_.erase(victim->vb_id);
-  return batch;
+void VbbmsPolicy::select_victim(VictimBatch& batch) {
+  // Evict from the region that overflows its share the most; fall back to
+  // whichever region actually holds pages.
+  const double random_load =
+      static_cast<double>(random_.pages) / static_cast<double>(random_quota_);
+  const double seq_load =
+      static_cast<double>(seq_.pages) / static_cast<double>(seq_quota_);
+  Region& first = seq_load >= random_load ? seq_ : random_;
+  evict_from(first, batch);
+  if (batch.empty()) evict_from(&first == &seq_ ? random_ : seq_, batch);
 }
 
 void VbbmsPolicy::audit(AuditReport& report) const {
-  REQB_AUDIT(report, random_lru_.validate());
-  REQB_AUDIT(report, seq_fifo_.validate());
-  REQB_AUDIT_MSG(report, random_lru_.size() == random_vbs_.size(),
-                 "random LRU lists " + std::to_string(random_lru_.size()) +
-                     " vblocks, table holds " +
-                     std::to_string(random_vbs_.size()));
-  REQB_AUDIT_MSG(report, seq_fifo_.size() == seq_vbs_.size(),
-                 "sequential FIFO lists " + std::to_string(seq_fifo_.size()) +
-                     " vblocks, table holds " +
-                     std::to_string(seq_vbs_.size()));
-
-  const auto walk = [&](const std::unordered_map<std::uint64_t, VBlock>& vbs,
-                        std::uint32_t vb_pages, bool expect_seq,
-                        const char* region) {
+  const auto walk = [&](const Region& region, bool expect_seq,
+                        const std::string& name) {
+    REQB_AUDIT(report, region.list.validate());
+    REQB_AUDIT_MSG(report, region.list.size() == region.vbs.size(),
+                   name + " list links " +
+                       std::to_string(region.list.size()) +
+                       " vblocks, table holds " +
+                       std::to_string(region.vbs.size()));
     std::size_t pages = 0;
-    for (const auto& [vb_id, vb] : vbs) {
-      pages += vb.pages.size();
-      REQB_AUDIT_MSG(report, vb.vb_id == vb_id,
-                     std::string(region) + " table key " +
-                         std::to_string(vb_id) + " holds vblock id " +
-                         std::to_string(vb.vb_id));
-      REQB_AUDIT_MSG(report, vb.hook.linked(),
-                     std::string(region) + " vblock " + std::to_string(vb_id) +
-                         " not on its list");
-      REQB_AUDIT_MSG(report, !vb.pages.empty(),
-                     std::string(region) + " vblock " + std::to_string(vb_id) +
-                         " is empty");
-      for (const Lpn lpn : vb.pages) {
-        REQB_AUDIT_MSG(report, lpn / vb_pages == vb_id,
-                       "page " + std::to_string(lpn) + " filed under " +
-                           region + " vblock " + std::to_string(vb_id));
-        const auto it = page_is_seq_.find(lpn);
+    region.list.for_each([&](const VBlock* vb) {
+      const std::string tag = name + " vblock " + std::to_string(vb->vb_id);
+      pages += vb->pages.size();
+      VBlock* const* found = region.vbs.find(vb->vb_id);
+      REQB_AUDIT_MSG(report, found != nullptr && *found == vb,
+                     tag + " listed but not in its table");
+      REQB_AUDIT_MSG(report, !vb->pages.empty(), tag + " is empty");
+      for (const SlotPage& p : vb->pages) {
+        REQB_AUDIT_MSG(report, p.lpn / region.vb_pages == vb->vb_id,
+                       "page " + std::to_string(p.lpn) + " filed under " +
+                           tag);
         REQB_AUDIT_MSG(report,
-                       it != page_is_seq_.end() && it->second == expect_seq,
-                       "page " + std::to_string(lpn) +
-                           " region flag disagrees with its " + region +
-                           " vblock");
+                       p.slot < page_is_seq_.size() &&
+                           page_is_seq_[p.slot] == expect_seq,
+                       "page " + std::to_string(p.lpn) +
+                           " region bit disagrees with its " + tag);
       }
-    }
-    return pages;
+    });
+    REQB_AUDIT_MSG(report, pages == region.pages,
+                   name + " region holds " + std::to_string(pages) +
+                       " pages, counter says " +
+                       std::to_string(region.pages));
   };
-  const std::size_t random_seen =
-      walk(random_vbs_, opt_.random_vb_pages, false, "random");
-  const std::size_t seq_seen =
-      walk(seq_vbs_, opt_.seq_vb_pages, true, "sequential");
-  REQB_AUDIT_MSG(report, random_seen == random_pages_,
-                 "random region holds " + std::to_string(random_seen) +
-                     " pages, counter says " + std::to_string(random_pages_));
-  REQB_AUDIT_MSG(report, seq_seen == seq_pages_,
-                 "sequential region holds " + std::to_string(seq_seen) +
-                     " pages, counter says " + std::to_string(seq_pages_));
-  REQB_AUDIT_MSG(report,
-                 page_is_seq_.size() == random_pages_ + seq_pages_,
-                 "region map tracks " + std::to_string(page_is_seq_.size()) +
-                     " pages, regions hold " +
-                     std::to_string(random_pages_ + seq_pages_));
+  walk(random_, false, "random");
+  walk(seq_, true, "sequential");
 }
 
-bool VbbmsPolicy::enumerate_pages(const std::function<void(Lpn)>& fn) const {
-  for (const auto& [lpn, seq] : page_is_seq_) fn(lpn);
+bool VbbmsPolicy::enumerate_pages(
+    const std::function<void(Lpn, Slot)>& fn) const {
+  for (const Region* region : {&random_, &seq_}) {
+    region->list.for_each([&](const VBlock* vb) {
+      for (const SlotPage& p : vb->pages) fn(p.lpn, p.slot);
+    });
+  }
   return true;
 }
 
 void VbbmsPolicy::serialize(SnapshotWriter& w) const {
   w.tag("vbbms");
   // Each region is fully described by its list order plus per-vblock page
-  // vectors; the page->region map and the page counters are derived.
-  const auto write_region = [&w](const IntrusiveList<VBlock, &VBlock::hook>&
-                                     list,
-                                 std::size_t count) {
-    w.u64(count);
-    list.for_each([&](const VBlock* vb) {
+  // vectors; the region bits and the page counters are derived.
+  for (const Region* region : {&random_, &seq_}) {
+    w.u64(region->vbs.size());
+    region->list.for_each([&](const VBlock* vb) {
       w.u64(vb->vb_id);
       w.u64(vb->pages.size());
-      for (const Lpn lpn : vb->pages) w.u64(lpn);
+      for (const SlotPage& p : vb->pages) w.u64(p.lpn);
     });
-  };
-  write_region(random_lru_, random_vbs_.size());
-  write_region(seq_fifo_, seq_vbs_.size());
-}
-
-void VbbmsPolicy::deserialize(SnapshotReader& r) {
-  r.tag("vbbms");
-  REQB_CHECK_MSG(page_is_seq_.empty(),
-                 "deserialize into a non-fresh VBBMS policy");
-  const auto read_region =
-      [this, &r](std::unordered_map<std::uint64_t, VBlock>& vbs,
-                 IntrusiveList<VBlock, &VBlock::hook>& list, bool seq,
-                 std::size_t& page_counter) {
-        const std::uint64_t count = r.u64();
-        for (std::uint64_t i = 0; i < count; ++i) {
-          const std::uint64_t vb_id = r.u64();
-          auto [it, inserted] = vbs.try_emplace(vb_id);
-          if (!inserted) {
-            throw SnapshotError("VBBMS snapshot repeats a virtual block");
-          }
-          VBlock& vb = it->second;
-          vb.vb_id = vb_id;
-          const std::uint64_t pages = r.count(8);
-          if (pages == 0) {
-            throw SnapshotError("VBBMS snapshot has an empty virtual block");
-          }
-          vb.pages.reserve(pages);
-          for (std::uint64_t p = 0; p < pages; ++p) {
-            const Lpn lpn = r.u64();
-            vb.pages.push_back(lpn);
-            if (!page_is_seq_.emplace(lpn, seq).second) {
-              throw SnapshotError("VBBMS snapshot repeats a page");
-            }
-          }
-          page_counter += pages;
-          list.push_back(&vb);
-        }
-      };
-  read_region(random_vbs_, random_lru_, false, random_pages_);
-  read_region(seq_vbs_, seq_fifo_, true, seq_pages_);
-}
-
-VictimBatch VbbmsPolicy::select_victim() {
-  // Evict from the region that overflows its share the most; fall back to
-  // whichever region actually holds pages.
-  const double random_load =
-      static_cast<double>(random_pages_) / static_cast<double>(random_quota_);
-  const double seq_load =
-      static_cast<double>(seq_pages_) / static_cast<double>(seq_quota_);
-  VictimBatch batch;
-  if (seq_load >= random_load) {
-    batch = evict_sequential();
-    if (batch.empty()) batch = evict_random();
-  } else {
-    batch = evict_random();
-    if (batch.empty()) batch = evict_sequential();
   }
-  return batch;
+}
+
+void VbbmsPolicy::deserialize(SnapshotReader& r, const SlotOf& slot_of) {
+  r.tag("vbbms");
+  REQB_CHECK_MSG(pages() == 0, "deserialize into a non-fresh VBBMS policy");
+  for (Region* region : {&random_, &seq_}) {
+    const std::uint64_t count = r.u64();
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const std::uint64_t vb_id = r.u64();
+      if (vb_id >= kLpnBound || region->vbs.contains(vb_id)) {
+        throw SnapshotError("VBBMS snapshot repeats a virtual block or "
+                            "names one beyond the LPN bound");
+      }
+      VBlock* vb = pool_.acquire();
+      vb->vb_id = vb_id;
+      region->vbs.try_emplace(vb_id, vb);
+      region->list.push_back(vb);
+      const std::uint64_t pages = r.count(8);
+      if (pages == 0) {
+        throw SnapshotError("VBBMS snapshot has an empty virtual block");
+      }
+      vb->pages.reserve(pages);
+      for (std::uint64_t p = 0; p < pages; ++p) {
+        const Lpn lpn = r.u64();
+        const Slot slot = slot_of(lpn);
+        page_is_seq_.at(slot) = region == &seq_;
+        vb->pages.push_back({static_cast<std::uint32_t>(lpn), slot});
+      }
+      region->pages += pages;
+    }
+  }
 }
 
 }  // namespace reqblock

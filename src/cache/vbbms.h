@@ -7,10 +7,12 @@
 // Evictions flush a whole virtual block, striped across channels.
 #pragma once
 
-#include <unordered_map>
+#include <vector>
 
 #include "cache/write_buffer.h"
 #include "util/intrusive_list.h"
+#include "util/lpn_table.h"
+#include "util/node_pool.h"
 
 namespace reqblock {
 
@@ -29,45 +31,60 @@ class VbbmsPolicy final : public WriteBufferPolicy {
 
   std::string name() const override { return "VBBMS"; }
 
-  void on_hit(Lpn lpn, const IoRequest& req, bool is_write) override;
-  void on_insert(Lpn lpn, const IoRequest& req, bool is_write) override;
-  VictimBatch select_victim() override;
+  void on_hit(Lpn lpn, Slot slot, const IoRequest& req,
+              bool is_write) override;
+  void on_insert(Lpn lpn, Slot slot, const IoRequest& req,
+                 bool is_write) override;
+  void select_victim(VictimBatch& batch) override;
   std::size_t pages() const override {
-    return random_pages_ + seq_pages_;
+    return random_.pages + seq_.pages;
   }
   std::size_t metadata_bytes() const override {
-    return (random_vbs_.size() + seq_vbs_.size()) * 24;  // virtual-block node
+    return (random_.vbs.size() + seq_.vbs.size()) * 24;  // virtual-block node
   }
 
-  std::size_t random_pages() const { return random_pages_; }
-  std::size_t seq_pages() const { return seq_pages_; }
+  std::size_t random_pages() const { return random_.pages; }
+  std::size_t seq_pages() const { return seq_.pages; }
 
   void audit(AuditReport& report) const override;
-  bool enumerate_pages(const std::function<void(Lpn)>& fn) const override;
+  bool enumerate_pages(
+      const std::function<void(Lpn, Slot)>& fn) const override;
   void serialize(SnapshotWriter& w) const override;
-  void deserialize(SnapshotReader& r) override;
+  void deserialize(SnapshotReader& r, const SlotOf& slot_of) override;
 
  private:
   struct VBlock {
     std::uint64_t vb_id = 0;
-    std::vector<Lpn> pages;
+    std::vector<SlotPage> pages;
     ListHook hook;
   };
+  using VBlockList = IntrusiveList<VBlock, &VBlock::hook>;
+  using VBlockMap = FlatHashMap<VBlock*, kLpnBound>;
 
-  VictimBatch evict_random();
-  VictimBatch evict_sequential();
+  /// One region: its virtual blocks by id, their list (LRU for random,
+  /// FIFO for sequential) and its page count.
+  struct Region {
+    std::uint32_t vb_pages;
+    VBlockMap vbs;
+    VBlockList list;
+    std::size_t pages = 0;
+  };
+
+  /// The region's vblock holding `lpn`, pooled and linked at the list
+  /// head when new (`created` reports which).
+  VBlock* vblock_for(Region& region, Lpn lpn, bool& created);
+  /// Evicts the region's list tail into `batch` (no-op when empty).
+  void evict_from(Region& region, VictimBatch& batch);
 
   VbbmsOptions opt_;
   std::uint64_t random_quota_;
   std::uint64_t seq_quota_;
 
-  std::unordered_map<std::uint64_t, VBlock> random_vbs_;
-  std::unordered_map<std::uint64_t, VBlock> seq_vbs_;
-  IntrusiveList<VBlock, &VBlock::hook> random_lru_;
-  IntrusiveList<VBlock, &VBlock::hook> seq_fifo_;
-  std::unordered_map<Lpn, bool> page_is_seq_;
-  std::size_t random_pages_ = 0;
-  std::size_t seq_pages_ = 0;
+  NodePool<VBlock> pool_;
+  Region random_;
+  Region seq_;
+  /// Region bit per slot, meaningful while the slot is tracked.
+  std::vector<bool> page_is_seq_;
 };
 
 }  // namespace reqblock

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -23,7 +24,13 @@ namespace reqblock {
 class SnapshotReader;
 class SnapshotWriter;
 
-/// What the policy wants evicted. All pages must currently be cached.
+/// Restore-time lookup from a resident LPN to the slot the manager gave
+/// it; throws SnapshotError for a page the manager does not hold.
+using SlotOf = std::function<Slot(Lpn)>;
+
+/// What the policy wants evicted. All pages must currently be cached. The
+/// manager owns one batch and reuses it (and its capacity) for every
+/// eviction.
 struct VictimBatch {
   std::vector<Lpn> pages;
   /// Flush the whole batch to a single plane derived from the first page's
@@ -36,6 +43,11 @@ struct VictimBatch {
   std::vector<Lpn> padding_reads;
 
   bool empty() const { return pages.empty(); }
+  void clear() {
+    pages.clear();
+    colocate = false;
+    padding_reads.clear();
+  }
 };
 
 class WriteBufferPolicy {
@@ -49,16 +61,21 @@ class WriteBufferPolicy {
   /// this; the default is a no-op.
   virtual void begin_request(const IoRequest& req) { (void)req; }
 
-  /// `lpn` is cached and was just accessed by `req`.
-  virtual void on_hit(Lpn lpn, const IoRequest& req, bool is_write) = 0;
+  /// `lpn`, cached in `slot`, was just accessed by `req`.
+  virtual void on_hit(Lpn lpn, Slot slot, const IoRequest& req,
+                      bool is_write) = 0;
 
-  /// `lpn` was just admitted (the manager guarantees free space).
-  virtual void on_insert(Lpn lpn, const IoRequest& req, bool is_write) = 0;
+  /// `lpn` was just admitted into the free `slot` (< the capacity the
+  /// policy was built with; the manager guarantees free space).
+  virtual void on_insert(Lpn lpn, Slot slot, const IoRequest& req,
+                         bool is_write) = 0;
 
-  /// Chooses pages to evict. Returning an empty batch means "nothing is
-  /// evictable right now" (e.g. everything belongs to the in-flight
-  /// request); the manager then bypasses the cache for the pending page.
-  virtual VictimBatch select_victim() = 0;
+  /// Chooses pages to evict into `batch`, which arrives cleared. Leaving
+  /// it empty means "nothing is evictable right now" (e.g. everything
+  /// belongs to the in-flight request); the manager then bypasses the
+  /// cache for the pending page. The victims' slots are free once this
+  /// returns.
+  virtual void select_victim(VictimBatch& batch) = 0;
 
   /// The volatile buffer is about to be dropped (injected power loss).
   /// Policies that withhold victims for the in-flight request must release
@@ -87,11 +104,12 @@ class WriteBufferPolicy {
   /// O(tracked pages); called between operations, never mid-mutation.
   virtual void audit(AuditReport& report) const { (void)report; }
 
-  /// Calls `fn` once per tracked page, in unspecified order. Returns false
-  /// when the policy cannot enumerate (the audit layer then skips the
-  /// manager↔policy page-set comparison). Every built-in policy supports
-  /// it.
-  virtual bool enumerate_pages(const std::function<void(Lpn)>& fn) const {
+  /// Calls `fn(lpn, slot)` once per tracked page, in unspecified order.
+  /// Returns false when the policy cannot enumerate (the audit layer then
+  /// skips the manager↔policy page-set comparison). Every built-in policy
+  /// supports it.
+  virtual bool enumerate_pages(
+      const std::function<void(Lpn, Slot)>& fn) const {
     (void)fn;
     return false;
   }
@@ -103,8 +121,10 @@ class WriteBufferPolicy {
   virtual void serialize(SnapshotWriter& w) const = 0;
 
   /// Restores state written by serialize(). Must only be called on a fresh
-  /// instance; throws SnapshotError on malformed input.
-  virtual void deserialize(SnapshotReader& r) = 0;
+  /// instance, after the manager has re-occupied its slots; `slot_of`
+  /// rebinds each restored LPN to its slot. Throws SnapshotError on
+  /// malformed input, including a page the manager does not hold.
+  virtual void deserialize(SnapshotReader& r, const SlotOf& slot_of) = 0;
 
   /// Hands the policy the run's event sink for structural events
   /// (Req-block split/promote/merge/batch-evict). The buffer outlives the

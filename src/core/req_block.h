@@ -37,8 +37,9 @@ struct ReqBlock {
   std::uint64_t req_id = 0;
   /// Which of the three lists currently holds the block.
   ReqList level = ReqList::kIRL;
-  /// Pages currently in the block (unordered; blocks are small).
-  std::vector<Lpn> pages;
+  /// Pages currently in the block with their cache slots (unordered;
+  /// blocks are small).
+  std::vector<SlotPage> pages;
   /// Paper Eq. 1: access count since buffering, initialized to 1.
   std::uint64_t access_cnt = 1;
   /// Paper Eq. 1: T_insert, in policy ticks (one tick per page access).
@@ -51,10 +52,11 @@ struct ReqBlock {
 
   std::size_t page_count() const { return pages.size(); }
 
-  /// Removes one page; returns false if absent. O(block size).
-  bool remove_page(Lpn lpn) {
+  /// Removes the page held in `slot`; returns false if absent.
+  /// O(block size).
+  bool remove_page(Slot slot) {
     for (auto& p : pages) {
-      if (p == lpn) {
+      if (p.slot == slot) {
         p = pages.back();
         pages.pop_back();
         return true;

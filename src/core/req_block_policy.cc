@@ -3,14 +3,15 @@
 #include <algorithm>
 #include <limits>
 #include <sstream>
-#include <unordered_set>
 
 #include "snapshot/snapshot.h"
 #include "util/check.h"
 
 namespace reqblock {
 
-ReqBlockPolicy::ReqBlockPolicy(ReqBlockOptions options) : opt_(options) {
+ReqBlockPolicy::ReqBlockPolicy(std::uint64_t capacity_pages,
+                               ReqBlockOptions options)
+    : opt_(options), page_to_block_(capacity_pages, nullptr) {
   REQB_CHECK_MSG(opt_.delta >= 1, "delta must be at least one page");
 }
 
@@ -19,17 +20,11 @@ ReqBlockPolicy::BlockList& ReqBlockPolicy::list_for(ReqList level) {
 }
 
 ReqBlock* ReqBlockPolicy::acquire_block(std::uint64_t id) {
-  ReqBlock* blk = nullptr;
-  if (free_blocks_.empty()) {
-    blk = &pool_.emplace_back();
-  } else {
-    blk = free_blocks_.back();
-    free_blocks_.pop_back();
-    std::vector<Lpn> pages = std::move(blk->pages);
-    REQB_DCHECK(pages.empty());
-    *blk = ReqBlock{};
-    blk->pages = std::move(pages);
-  }
+  ReqBlock* blk = pool_.acquire();
+  std::vector<SlotPage> pages = std::move(blk->pages);
+  REQB_DCHECK(pages.empty());
+  *blk = ReqBlock{};
+  blk->pages = std::move(pages);
   blk->block_id = id;
   blocks_.try_emplace(id, blk);
   return blk;
@@ -56,16 +51,21 @@ void ReqBlockPolicy::destroy_block(ReqBlock* blk) {
   REQB_DCHECK(blk->pages.empty() && !blk->hook.linked());
   blocks_.erase(blk->block_id);
   blk->block_id = 0;  // a pooled block has no identity
-  free_blocks_.push_back(blk);
+  pool_.release(blk);
+}
+
+void ReqBlockPolicy::add_page(ReqBlock* blk, Lpn lpn, Slot slot) {
+  blk->pages.push_back({static_cast<std::uint32_t>(lpn), slot});
+  page_to_block_[slot] = blk;
 }
 
 void ReqBlockPolicy::consume_block(ReqBlock* blk, std::vector<Lpn>& out) {
-  for (const Lpn lpn : blk->pages) {
-    const bool erased = page_to_block_.erase(lpn);
-    REQB_DCHECK(erased);
-    (void)erased;
-    out.push_back(lpn);
+  for (const SlotPage& p : blk->pages) {
+    REQB_DCHECK(page_to_block_[p.slot] == blk);
+    page_to_block_[p.slot] = nullptr;
+    out.push_back(p.lpn);
   }
+  pages_ -= blk->pages.size();
   blk->pages.clear();
   list_for(blk->level).erase(blk);
   destroy_block(blk);
@@ -84,10 +84,13 @@ void ReqBlockPolicy::begin_request(const IoRequest& req) {
   }
 }
 
-void ReqBlockPolicy::on_insert(Lpn lpn, const IoRequest& req, bool) {
+void ReqBlockPolicy::on_insert(Lpn lpn, Slot slot, const IoRequest& req,
+                               bool) {
   ++tick_;
   ++mutations_;
-  REQB_DCHECK(!page_to_block_.contains(lpn));
+  REQB_CHECK_MSG(slot < page_to_block_.size(),
+                 "Req-block insert into an unknown slot");
+  REQB_DCHECK(page_to_block_[slot] == nullptr);
   // create_req_blk(IRL, R): reuse the request's block at the IRL head.
   ReqBlock* target = nullptr;
   if (guard_insert_block_ != 0) {
@@ -98,16 +101,16 @@ void ReqBlockPolicy::on_insert(Lpn lpn, const IoRequest& req, bool) {
     target = create_block(req.id, ReqList::kIRL, /*origin_id=*/0);
     guard_insert_block_ = target->block_id;
   }
-  target->pages.push_back(lpn);
-  page_to_block_.try_emplace(lpn, target);
+  add_page(target, lpn, slot);
+  ++pages_;
 }
 
-void ReqBlockPolicy::on_hit(Lpn lpn, const IoRequest& req, bool) {
+void ReqBlockPolicy::on_hit(Lpn lpn, Slot slot, const IoRequest& req, bool) {
   ++tick_;
   ++mutations_;
-  ReqBlock** entry = page_to_block_.find(lpn);
-  REQB_CHECK_MSG(entry != nullptr, "Req-block hit on untracked page");
-  ReqBlock* blk = *entry;
+  ReqBlock* blk = slot < page_to_block_.size() ? page_to_block_[slot]
+                                               : nullptr;
+  REQB_CHECK_MSG(blk != nullptr, "Req-block hit on untracked page");
 
   if (blk->page_count() <= opt_.delta) {
     // Small request block: promote to the Small Request List head.
@@ -122,7 +125,7 @@ void ReqBlockPolicy::on_hit(Lpn lpn, const IoRequest& req, bool) {
 
   // Large request block: split the hit page into the request's block at
   // the DRL head (creating it on the first split of this request).
-  const bool removed = blk->remove_page(lpn);
+  const bool removed = blk->remove_page(slot);
   REQB_DCHECK(removed);
   (void)removed;
 
@@ -136,8 +139,7 @@ void ReqBlockPolicy::on_hit(Lpn lpn, const IoRequest& req, bool) {
     guard_split_block_ = target->block_id;
   }
   REQB_DCHECK(target != blk);
-  target->pages.push_back(lpn);
-  *entry = target;  // no insert or erase since the lookup
+  add_page(target, lpn, slot);
   if (trace_ != nullptr) {
     trace_->emit({trace_->time(), 0, lpn, blk->page_count(),
                   EventKind::kReqBlockSplit, kTrackDrl, 0});
@@ -149,7 +151,7 @@ void ReqBlockPolicy::on_hit(Lpn lpn, const IoRequest& req, bool) {
   }
 }
 
-VictimBatch ReqBlockPolicy::select_victim() {
+void ReqBlockPolicy::select_victim(VictimBatch& batch) {
   // get_victim(): compare Eq. 1 over the three list tails, skipping the
   // in-flight request's blocks. Deterministic tie-break: IRL, DRL, SRL.
   const ReqList order[] = {ReqList::kIRL, ReqList::kDRL, ReqList::kSRL};
@@ -170,8 +172,7 @@ VictimBatch ReqBlockPolicy::select_victim() {
     }
   }
 
-  VictimBatch batch;
-  if (victim == nullptr) return batch;
+  if (victim == nullptr) return;
 
   // Downgraded merging (Fig. 6): a split victim drags its origin block out
   // of IRL so the request is evicted as one spatially-contiguous batch.
@@ -186,7 +187,8 @@ VictimBatch ReqBlockPolicy::select_victim() {
   ++mutations_;
   const auto victim_track =
       static_cast<std::uint16_t>(static_cast<std::size_t>(victim->level) + 1);
-  const Lpn first_lpn = victim->pages.empty() ? 0 : victim->pages.front();
+  const Lpn first_lpn =
+      victim->pages.empty() ? 0 : victim->pages.front().lpn;
   consume_block(victim, batch.pages);
   if (origin != nullptr) {
     const std::uint64_t before = batch.pages.size();
@@ -202,7 +204,6 @@ VictimBatch ReqBlockPolicy::select_victim() {
                   EventKind::kReqBlockBatchEvict, victim_track, 0});
   }
   batch.colocate = opt_.colocate_flush;
-  return batch;
 }
 
 ListOccupancy ReqBlockPolicy::occupancy() const {
@@ -262,8 +263,13 @@ void ReqBlockPolicy::register_metrics(MetricsRegistry& registry) const {
 }
 
 const ReqBlock* ReqBlockPolicy::block_of(Lpn lpn) const {
-  ReqBlock* const* entry = page_to_block_.find(lpn);
-  return entry == nullptr ? nullptr : *entry;
+  const ReqBlock* holder = nullptr;
+  blocks_.for_each([&](std::uint64_t, const ReqBlock* b) {
+    for (const SlotPage& p : b->pages) {
+      if (p.lpn == lpn) holder = b;
+    }
+  });
+  return holder;
 }
 
 const ReqBlock* ReqBlockPolicy::tail_of(ReqList list) const {
@@ -276,20 +282,21 @@ const ReqBlock* ReqBlockPolicy::prev_in_list(const ReqBlock* blk) const {
 }
 
 ReqBlock* ReqBlockPolicy::mutable_block_for_tests(Lpn lpn) {
-  ReqBlock* const* entry = page_to_block_.find(lpn);
-  return entry == nullptr ? nullptr : *entry;
+  return const_cast<ReqBlock*>(block_of(lpn));
 }
 
 bool ReqBlockPolicy::enumerate_pages(
-    const std::function<void(Lpn)>& fn) const {
-  page_to_block_.for_each([&](Lpn lpn, ReqBlock*) { fn(lpn); });
+    const std::function<void(Lpn, Slot)>& fn) const {
+  blocks_.for_each([&](std::uint64_t, const ReqBlock* b) {
+    for (const SlotPage& p : b->pages) fn(p.lpn, p.slot);
+  });
   return true;
 }
 
 std::string ReqBlockPolicy::dump_structure() const {
   std::ostringstream os;
   os << "Req-block state: tick=" << tick_ << " delta=" << opt_.delta
-     << " blocks=" << blocks_.size() << " pages=" << page_to_block_.size()
+     << " blocks=" << blocks_.size() << " pages=" << pages_
      << " guards(insert=" << guard_insert_block_
      << ", split=" << guard_split_block_ << ", req=" << current_req_id_
      << ")\n";
@@ -312,40 +319,40 @@ void ReqBlockPolicy::audit(AuditReport& report) const {
 
   // Pass 1 — the three lists: structure, level tags, and that no block
   // appears on two lists (or twice on one).
-  std::unordered_set<std::uint64_t> on_lists;
-  std::size_t listed = 0;
+  std::vector<std::uint64_t> on_lists;
   const ReqList order[] = {ReqList::kIRL, ReqList::kSRL, ReqList::kDRL};
   for (const ReqList level : order) {
     const BlockList& list = lists_[static_cast<std::size_t>(level)];
     REQB_AUDIT_MSG(report, list.validate(),
                    std::string("corrupt ") + to_string(level) + " chain");
     list.for_each([&](ReqBlock* b) {
-      ++listed;
+      on_lists.push_back(b->block_id);
       REQB_AUDIT_MSG(report, b->level == level,
                      "block " + std::to_string(b->block_id) + " on " +
                          to_string(level) + " but tagged " +
                          to_string(b->level));
-      const bool newly_listed = on_lists.insert(b->block_id).second;
-      REQB_AUDIT_MSG(report, newly_listed,
-                     "block " + std::to_string(b->block_id) +
-                         " linked on two lists");
       ReqBlock* const* owned = blocks_.find(b->block_id);
       REQB_AUDIT_MSG(report, owned != nullptr && *owned == b,
                      "block " + std::to_string(b->block_id) +
                          " linked but not owned by the block table");
     });
   }
-  REQB_AUDIT_MSG(report, listed == blocks_.size(),
-                 "lists link " + std::to_string(listed) +
+  std::sort(on_lists.begin(), on_lists.end());
+  const auto twice = std::adjacent_find(on_lists.begin(), on_lists.end());
+  REQB_AUDIT_MSG(report, twice == on_lists.end(),
+                 "block " + std::to_string(*twice) + " linked on two lists");
+  REQB_AUDIT_MSG(report, on_lists.size() == blocks_.size(),
+                 "lists link " + std::to_string(on_lists.size()) +
                      " blocks, table owns " + std::to_string(blocks_.size()));
 
   // Pass 2 — the pool: every block is live or free, and a free block is
   // blank (no id, no pages, unlinked) so reuse inherits nothing.
-  REQB_AUDIT_MSG(report, pool_.size() == blocks_.size() + free_blocks_.size(),
+  const std::vector<ReqBlock*>& free_blocks = pool_.free_nodes();
+  REQB_AUDIT_MSG(report, pool_.size() == blocks_.size() + free_blocks.size(),
                  "pool holds " + std::to_string(pool_.size()) + " blocks, " +
                      std::to_string(blocks_.size()) + " live + " +
-                     std::to_string(free_blocks_.size()) + " free");
-  for (const ReqBlock* b : free_blocks_) {
+                     std::to_string(free_blocks.size()) + " free");
+  for (const ReqBlock* b : free_blocks) {
     REQB_AUDIT_MSG(report,
                    b->block_id == 0 && b->pages.empty() && !b->hook.linked(),
                    "free pooled block still carries id " +
@@ -409,26 +416,32 @@ void ReqBlockPolicy::audit(AuditReport& report) const {
                          std::to_string(b->origin_id) +
                          " created after it");
     }
-    std::vector<Lpn> sorted = b->pages;
+    std::vector<std::uint32_t> sorted;
+    block_pages += b->pages.size();
+    for (const SlotPage& p : b->pages) {
+      sorted.push_back(p.lpn);
+      REQB_AUDIT_MSG(report,
+                     p.slot < page_to_block_.size() &&
+                         page_to_block_[p.slot] == b,
+                     tag + " holds page " + std::to_string(p.lpn) +
+                         " in slot " + std::to_string(p.slot) +
+                         " but the page table disagrees");
+    }
     std::sort(sorted.begin(), sorted.end());
     REQB_AUDIT_MSG(
         report,
         std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
         tag + " holds a duplicate page");
-    block_pages += b->pages.size();
-    for (const Lpn lpn : b->pages) {
-      ReqBlock* const* entry = page_to_block_.find(lpn);
-      REQB_AUDIT_MSG(report, entry != nullptr && *entry == b,
-                     tag + " holds page " + std::to_string(lpn) +
-                         " but the page table disagrees");
-    }
   });
-  // Combined with the per-page check above, size equality makes the page
+  // Combined with the per-page check above, equal counts make the page
   // table and the union of block pages the *same* set.
-  REQB_AUDIT_MSG(report, block_pages == page_to_block_.size(),
+  const auto tracked = static_cast<std::size_t>(
+      std::count_if(page_to_block_.begin(), page_to_block_.end(),
+                    [](const ReqBlock* b) { return b != nullptr; }));
+  REQB_AUDIT_MSG(report, block_pages == pages_ && tracked == pages_,
                  "blocks hold " + std::to_string(block_pages) +
-                     " pages, page table tracks " +
-                     std::to_string(page_to_block_.size()));
+                     " pages, page table tracks " + std::to_string(tracked) +
+                     ", counter says " + std::to_string(pages_));
 }
 
 void ReqBlockPolicy::serialize(SnapshotWriter& w) const {
@@ -450,12 +463,12 @@ void ReqBlockPolicy::serialize(SnapshotWriter& w) const {
       w.u64(b->insert_tick);
       w.u64(b->origin_id);
       w.u64(b->pages.size());
-      for (const Lpn lpn : b->pages) w.u64(lpn);
+      for (const SlotPage& p : b->pages) w.u64(p.lpn);
     });
   }
 }
 
-void ReqBlockPolicy::deserialize(SnapshotReader& r) {
+void ReqBlockPolicy::deserialize(SnapshotReader& r, const SlotOf& slot_of) {
   r.tag("reqblock");
   REQB_CHECK_MSG(blocks_.size() == 0,
                  "deserialize into a non-fresh Req-block policy");
@@ -487,14 +500,12 @@ void ReqBlockPolicy::deserialize(SnapshotReader& r) {
       blk->pages.reserve(pages);
       for (std::uint64_t p = 0; p < pages; ++p) {
         const Lpn lpn = r.u64();
-        if (lpn >= kLpnBound) {
-          throw SnapshotError("Req-block snapshot page is beyond the LPN "
-                              "bound");
-        }
-        if (!page_to_block_.try_emplace(lpn, blk).second) {
+        const Slot slot = slot_of(lpn);
+        if (page_to_block_.at(slot) != nullptr) {
           throw SnapshotError("Req-block snapshot repeats a page");
         }
-        blk->pages.push_back(lpn);
+        add_page(blk, lpn, slot);
+        ++pages_;
       }
     }
   }

@@ -23,7 +23,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "cache/write_buffer.h"
@@ -31,6 +30,7 @@
 #include "core/req_block.h"
 #include "util/intrusive_list.h"
 #include "util/lpn_table.h"
+#include "util/node_pool.h"
 
 namespace reqblock {
 
@@ -50,14 +50,17 @@ struct ReqBlockOptions {
 
 class ReqBlockPolicy final : public WriteBufferPolicy {
  public:
-  explicit ReqBlockPolicy(ReqBlockOptions options = {});
+  explicit ReqBlockPolicy(std::uint64_t capacity_pages,
+                          ReqBlockOptions options = {});
 
   std::string name() const override { return "Req-block"; }
 
   void begin_request(const IoRequest& req) override;
-  void on_hit(Lpn lpn, const IoRequest& req, bool is_write) override;
-  void on_insert(Lpn lpn, const IoRequest& req, bool is_write) override;
-  VictimBatch select_victim() override;
+  void on_hit(Lpn lpn, Slot slot, const IoRequest& req,
+              bool is_write) override;
+  void on_insert(Lpn lpn, Slot slot, const IoRequest& req,
+                 bool is_write) override;
+  void select_victim(VictimBatch& batch) override;
   /// Drops the in-flight request's eviction guards: after a power loss
   /// there is no request to protect and the manager must be able to drain
   /// the whole buffer.
@@ -66,7 +69,7 @@ class ReqBlockPolicy final : public WriteBufferPolicy {
     guard_insert_block_ = 0;
     guard_split_block_ = 0;
   }
-  std::size_t pages() const override { return page_to_block_.size(); }
+  std::size_t pages() const override { return pages_; }
   std::size_t metadata_bytes() const override {
     return blocks_.size() * 32;  // paper Fig. 12: 32 B per request block
   }
@@ -89,6 +92,7 @@ class ReqBlockPolicy final : public WriteBufferPolicy {
 
   // --- Introspection for tests -------------------------------------------
   /// The block holding a page (nullptr if the page is not cached).
+  /// O(pages): a scan, for tests.
   const ReqBlock* block_of(Lpn lpn) const;
   /// List tails as the eviction candidates the policy would compare.
   const ReqBlock* tail_of(ReqList list) const;
@@ -109,9 +113,10 @@ class ReqBlockPolicy final : public WriteBufferPolicy {
   /// δ-membership rules, split-origin backpointer integrity, and
   /// no-block-on-two-lists. O(blocks + pages).
   void audit(AuditReport& report) const override;
-  bool enumerate_pages(const std::function<void(Lpn)>& fn) const override;
+  bool enumerate_pages(
+      const std::function<void(Lpn, Slot)>& fn) const override;
   void serialize(SnapshotWriter& w) const override;
-  void deserialize(SnapshotReader& r) override;
+  void deserialize(SnapshotReader& r, const SlotOf& slot_of) override;
   /// Full structural dump (lists, blocks, guards) attached to failed
   /// audits.
   std::string dump_structure() const;
@@ -132,9 +137,11 @@ class ReqBlockPolicy final : public WriteBufferPolicy {
   /// Returns a block to the pool (must already be unlinked and have no
   /// pages mapped).
   void destroy_block(ReqBlock* blk);
-  /// Removes every page mapping of `blk` and unlinks + destroys it,
-  /// appending its pages to `out`.
+  /// Clears every slot entry of `blk` and unlinks + destroys it,
+  /// appending its pages' LPNs to `out`.
   void consume_block(ReqBlock* blk, std::vector<Lpn>& out);
+  /// Adds `lpn` in `slot` to `blk` and points the slot at it.
+  void add_page(ReqBlock* blk, Lpn lpn, Slot slot);
   ReqBlock* create_block(std::uint64_t req_id, ReqList level,
                          std::uint64_t origin_id);
   /// True if the block must not be evicted right now (it is the in-flight
@@ -142,14 +149,14 @@ class ReqBlockPolicy final : public WriteBufferPolicy {
   bool guarded(const ReqBlock* blk) const;
 
   ReqBlockOptions opt_;
-  /// Block storage. A deque never moves its elements, so list hooks and
-  /// page_to_block_ entries stay valid; blocks leaving the cache wait on
-  /// free_blocks_ for reuse.
-  std::deque<ReqBlock> pool_;
-  std::vector<ReqBlock*> free_blocks_;
+  /// Block storage: list hooks and page_to_block_ entries stay valid;
+  /// blocks leaving the cache wait in the pool for reuse.
+  NodePool<ReqBlock> pool_;
   /// Live blocks by id (origin and guard lookups, snapshot restore).
   FlatHashMap<ReqBlock*, kInvalidLpn> blocks_;
-  LpnHashMap<ReqBlock*> page_to_block_;
+  /// The block holding each slot's page (nullptr while the slot is free).
+  std::vector<ReqBlock*> page_to_block_;
+  std::size_t pages_ = 0;
   std::array<BlockList, 3> lists_;
   Tick tick_ = 0;
   std::uint64_t next_block_id_ = 1;

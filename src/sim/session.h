@@ -97,6 +97,8 @@ class SimulationSession {
   /// returned false.
   RunResult finish();
 
+  /// The cache layer (read-only: metrics, residency, policy state).
+  const CacheManager& cache() const { return *cache_; }
   /// The effective options (after env overrides) this session runs with.
   const SimOptions& options() const { return options_; }
   /// config_fingerprint(options()) — embedded in checkpoints.

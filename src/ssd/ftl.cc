@@ -853,6 +853,12 @@ void Ftl::deserialize(SnapshotReader& r) {
     if (ppn > SsdConfig::kMaxPhysicalPages) {
       throw SnapshotError("FTL snapshot physical page is beyond 2^32 - 1");
     }
+    if (ppn >= cfg_.total_pages()) {
+      throw SnapshotError("FTL snapshot maps lpn " + std::to_string(lpn) +
+                          " to physical page " + std::to_string(ppn) +
+                          ", past the device's " +
+                          std::to_string(cfg_.total_pages()) + " pages");
+    }
     l2p_.try_emplace(lpn).first->ppn = static_cast<std::uint32_t>(ppn);
     prev = lpn;
   }
@@ -914,6 +920,26 @@ void Ftl::deserialize(SnapshotReader& r) {
     tl.restore(next_free, busy);
   }
   array_.deserialize(r);
+  // The mapping table and the flash array are stored separately; they must
+  // describe the same pages: each mapping lands on a valid page holding
+  // its LPN, and no valid page is left without a mapping.
+  l2p_.for_each([&](Lpn lpn, const Mapping& m) {
+    if (array_.state(m.ppn) != PageState::kValid ||
+        array_.lpn_at(m.ppn) != lpn) {
+      throw SnapshotError("FTL snapshot maps lpn " + std::to_string(lpn) +
+                          " to physical page " + std::to_string(m.ppn) +
+                          ", which does not hold it");
+    }
+  });
+  std::uint64_t valid = 0;
+  for (std::uint32_t p = 0; p < total_planes_; ++p) {
+    valid += array_.valid_page_count(p);
+  }
+  if (valid != l2p_.size()) {
+    throw SnapshotError("FTL snapshot's flash array holds " +
+                        std::to_string(valid) + " valid pages for " +
+                        std::to_string(l2p_.size()) + " mappings");
+  }
 }
 
 }  // namespace reqblock

@@ -56,8 +56,10 @@ class IntrusiveList {
     return h == &sentinel_ ? nullptr : owner(h);
   }
 
-  void push_front(T* item) { insert_after(&sentinel_, hook(item)); }
-  void push_back(T* item) { insert_after(sentinel_.prev, hook(item)); }
+  void push_front(T* item) { link_after(&sentinel_, hook(item)); }
+  void push_back(T* item) { link_after(sentinel_.prev, hook(item)); }
+  /// Links `item` right behind `pos`, which must be on this list.
+  void insert_after(T* pos, T* item) { link_after(hook(pos), hook(item)); }
 
   /// Unlinks the item; it must currently be on this list.
   void erase(T* item) {
@@ -140,7 +142,7 @@ class IntrusiveList {
     return reinterpret_cast<T*>(reinterpret_cast<char*>(h) - offset);
   }
 
-  void insert_after(ListHook* pos, ListHook* h) {
+  void link_after(ListHook* pos, ListHook* h) {
     REQB_DCHECK(!h->linked());
     h->prev = pos;
     h->next = pos->next;

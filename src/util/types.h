@@ -24,6 +24,23 @@ inline constexpr Ppn kInvalidPpn = ~static_cast<Ppn>(0);
 /// Sentinel for "no logical page" in reverse maps.
 inline constexpr Lpn kInvalidLpn = ~static_cast<Lpn>(0);
 
+/// Index of a cache slot. The CacheManager owns capacity_pages slots and
+/// hands each admitted page one; policies index their per-page state by it
+/// instead of hashing the LPN. A slot never orders a decision and never
+/// reaches snapshot bytes: a restore re-occupies slots in ascending LPN
+/// order, so slot numbers differ from an uninterrupted run.
+using Slot = std::uint32_t;
+
+/// A Slot that holds no page (31 bits: slots fit the manager's LPN state).
+inline constexpr Slot kNoSlot = (Slot{1} << 31) - 1;
+
+/// A cached page as block-structured policies store it: LPNs stay below
+/// 2^32 (kLpnBound) and slots below 2^31, so the pair packs into 8 bytes.
+struct SlotPage {
+  std::uint32_t lpn = 0;
+  Slot slot = kNoSlot;
+};
+
 /// Time unit helpers. All simulator latencies are expressed in nanoseconds.
 inline constexpr SimTime kNanosecond = 1;
 inline constexpr SimTime kMicrosecond = 1000 * kNanosecond;

@@ -175,7 +175,7 @@ class ReqBlockAuditDetection : public ::testing::Test {
   void SetUp() override {
     ReqBlockOptions opt;
     opt.delta = 3;
-    policy_ = std::make_unique<ReqBlockPolicy>(opt);
+    policy_ = std::make_unique<Driven<ReqBlockPolicy>>(kTestSlots, opt);
     const IoRequest req = write_req(1, 0, 4);
     policy_->begin_request(req);
     for (Lpn lpn = 0; lpn < 4; ++lpn) {
@@ -190,11 +190,11 @@ class ReqBlockAuditDetection : public ::testing::Test {
 
   std::string audit_text() {
     AuditReport report("Req-block");
-    policy_->audit(report);
+    (*policy_)->audit(report);
     return report.ok() ? std::string() : report.to_string();
   }
 
-  std::unique_ptr<ReqBlockPolicy> policy_;
+  std::unique_ptr<Driven<ReqBlockPolicy>> policy_;
 };
 
 TEST_F(ReqBlockAuditDetection, CleanStateAuditsClean) {
@@ -202,14 +202,14 @@ TEST_F(ReqBlockAuditDetection, CleanStateAuditsClean) {
 }
 
 TEST_F(ReqBlockAuditDetection, CatchesZeroAccessCount) {
-  ReqBlock* blk = policy_->mutable_block_for_tests(0);
+  ReqBlock* blk = (*policy_)->mutable_block_for_tests(0);
   ASSERT_NE(blk, nullptr);
   blk->access_cnt = 0;
   EXPECT_NE(audit_text().find("access count 0"), std::string::npos);
 }
 
 TEST_F(ReqBlockAuditDetection, CatchesLevelTagMismatch) {
-  ReqBlock* blk = policy_->mutable_block_for_tests(0);
+  ReqBlock* blk = (*policy_)->mutable_block_for_tests(0);
   ASSERT_NE(blk, nullptr);
   ASSERT_EQ(blk->level, ReqList::kIRL);
   blk->level = ReqList::kSRL;  // linked on IRL, tagged SRL
@@ -217,7 +217,7 @@ TEST_F(ReqBlockAuditDetection, CatchesLevelTagMismatch) {
 }
 
 TEST_F(ReqBlockAuditDetection, CatchesDuplicatePage) {
-  ReqBlock* blk = policy_->mutable_block_for_tests(0);
+  ReqBlock* blk = (*policy_)->mutable_block_for_tests(0);
   ASSERT_NE(blk, nullptr);
   blk->pages.push_back(blk->pages.front());
   const std::string text = audit_text();
@@ -225,14 +225,14 @@ TEST_F(ReqBlockAuditDetection, CatchesDuplicatePage) {
 }
 
 TEST_F(ReqBlockAuditDetection, CatchesFutureInsertTick) {
-  ReqBlock* blk = policy_->mutable_block_for_tests(0);
+  ReqBlock* blk = (*policy_)->mutable_block_for_tests(0);
   ASSERT_NE(blk, nullptr);
-  blk->insert_tick = policy_->now() + 100;
+  blk->insert_tick = (*policy_)->now() + 100;
   EXPECT_NE(audit_text().find("inserted at tick"), std::string::npos);
 }
 
 TEST_F(ReqBlockAuditDetection, CatchesBrokenOriginBackpointer) {
-  ReqBlock* drl = policy_->mutable_block_for_tests(2);
+  ReqBlock* drl = (*policy_)->mutable_block_for_tests(2);
   ASSERT_NE(drl, nullptr);
   ASSERT_EQ(drl->level, ReqList::kDRL);
   drl->origin_id = 0;  // DRL block without a split origin
@@ -240,14 +240,15 @@ TEST_F(ReqBlockAuditDetection, CatchesBrokenOriginBackpointer) {
 }
 
 TEST_F(ReqBlockAuditDetection, CatchesPageTableDesync) {
-  ReqBlock* blk = policy_->mutable_block_for_tests(0);
+  ReqBlock* blk = (*policy_)->mutable_block_for_tests(0);
   ASSERT_NE(blk, nullptr);
-  blk->pages.push_back(9999);  // page the table has never heard of
+  // A page in a slot the table has never heard of.
+  blk->pages.push_back(SlotPage{9999, kTestSlots - 1});
   EXPECT_NE(audit_text().find("page table disagrees"), std::string::npos);
 }
 
 TEST_F(ReqBlockAuditDetection, FailedAuditAttachesStructuralDump) {
-  ReqBlock* blk = policy_->mutable_block_for_tests(0);
+  ReqBlock* blk = (*policy_)->mutable_block_for_tests(0);
   ASSERT_NE(blk, nullptr);
   blk->access_cnt = 0;
   EXPECT_NE(audit_text().find("structural dump"), std::string::npos);

@@ -9,10 +9,11 @@
 namespace reqblock {
 namespace {
 
+using testing::Driven;
 using testing::write_req;
 
 TEST(BplruPolicyTest, BlockLevelLruEviction) {
-  BplruPolicy p(8);
+  Driven<BplruPolicy> p(8);
   p.on_insert(0, write_req(0, 0, 1), true);    // block 0
   p.on_insert(8, write_req(1, 8, 1), true);    // block 1
   p.on_insert(16, write_req(2, 16, 1), true);  // block 2
@@ -23,7 +24,7 @@ TEST(BplruPolicyTest, BlockLevelLruEviction) {
 }
 
 TEST(BplruPolicyTest, VictimIsColocatedNoPaddingByDefault) {
-  BplruPolicy p(8);
+  Driven<BplruPolicy> p(8);
   p.on_insert(0, write_req(0, 0, 1), true);
   p.on_insert(3, write_req(1, 3, 1), true);
   const auto v = p.select_victim();
@@ -35,7 +36,7 @@ TEST(BplruPolicyTest, VictimIsColocatedNoPaddingByDefault) {
 TEST(BplruPolicyTest, PaddingModeRequestsMissingPages) {
   BplruOptions opts;
   opts.page_padding = true;
-  BplruPolicy p(8, opts);
+  Driven<BplruPolicy> p(8, opts);
   p.on_insert(0, write_req(0, 0, 1), true);
   p.on_insert(3, write_req(1, 3, 1), true);
   const auto v = p.select_victim();
@@ -51,10 +52,10 @@ TEST(BplruPolicyTest, PaddingModeRequestsMissingPages) {
 }
 
 TEST(BplruPolicyTest, SequentialFullBlockDemotedToTail) {
-  BplruPolicy p(4);
+  Driven<BplruPolicy> p(4);
   // Fill block 2 fully in order -> demoted.
   for (Lpn l = 8; l < 12; ++l) p.on_insert(l, write_req(0, l, 1), true);
-  EXPECT_TRUE(p.is_sequential_demoted(2));
+  EXPECT_TRUE(p->is_sequential_demoted(2));
   // Insert another block afterwards; the sequential block still evicts
   // first because demotion put it at the tail.
   p.on_insert(0, write_req(1, 0, 1), true);
@@ -64,20 +65,20 @@ TEST(BplruPolicyTest, SequentialFullBlockDemotedToTail) {
 }
 
 TEST(BplruPolicyTest, OutOfOrderWritesAreNotSequential) {
-  BplruPolicy p(4);
+  Driven<BplruPolicy> p(4);
   p.on_insert(9, write_req(0, 9, 1), true);  // offset 1 first
   p.on_insert(8, write_req(0, 8, 1), true);
   p.on_insert(10, write_req(0, 10, 1), true);
   p.on_insert(11, write_req(0, 11, 1), true);
-  EXPECT_FALSE(p.is_sequential_demoted(2));
+  EXPECT_FALSE(p->is_sequential_demoted(2));
 }
 
 TEST(BplruPolicyTest, RewriteBreaksSequentialFlag) {
-  BplruPolicy p(4);
+  Driven<BplruPolicy> p(4);
   for (Lpn l = 8; l < 12; ++l) p.on_insert(l, write_req(0, l, 1), true);
-  EXPECT_TRUE(p.is_sequential_demoted(2));
+  EXPECT_TRUE(p->is_sequential_demoted(2));
   p.on_hit(9, write_req(1, 9, 1), true);  // rewrite
-  EXPECT_FALSE(p.is_sequential_demoted(2));
+  EXPECT_FALSE(p->is_sequential_demoted(2));
   // And the block is now MRU: a different block should evict first.
   p.on_insert(0, write_req(2, 0, 1), true);
   p.on_insert(4, write_req(3, 4, 1), true);
@@ -90,7 +91,7 @@ TEST(BplruPolicyTest, RewriteBreaksSequentialFlag) {
 TEST(BplruPolicyTest, FullyCachedBlockHasNoPadding) {
   BplruOptions opts;
   opts.page_padding = true;
-  BplruPolicy p(4, opts);
+  Driven<BplruPolicy> p(4, opts);
   for (Lpn l = 0; l < 4; ++l) p.on_insert(l, write_req(0, l, 1), true);
   const auto v = p.select_victim();
   EXPECT_EQ(v.pages.size(), 4u);
@@ -98,38 +99,38 @@ TEST(BplruPolicyTest, FullyCachedBlockHasNoPadding) {
 }
 
 TEST(BplruPolicyTest, PagesAndMetadata) {
-  BplruPolicy p(8);
+  Driven<BplruPolicy> p(8);
   p.on_insert(0, write_req(0, 0, 1), true);
   p.on_insert(1, write_req(0, 1, 1), true);
   p.on_insert(8, write_req(1, 8, 1), true);
-  EXPECT_EQ(p.pages(), 3u);
-  EXPECT_EQ(p.metadata_bytes(), 48u);  // two block nodes x 24 B
+  EXPECT_EQ(p->pages(), 3u);
+  EXPECT_EQ(p->metadata_bytes(), 48u);  // two block nodes x 24 B
   p.select_victim();
-  EXPECT_EQ(p.metadata_bytes(), 24u);
+  EXPECT_EQ(p->metadata_bytes(), 24u);
 }
 
 TEST(BplruPolicyTest, EmptyVictim) {
-  BplruPolicy p(8);
+  Driven<BplruPolicy> p(8);
   EXPECT_TRUE(p.select_victim().empty());
 }
 
 TEST(BplruPolicyTest, PageAccountingByDefault) {
-  BplruPolicy p(8);
+  Driven<BplruPolicy> p(8);
   p.on_insert(0, write_req(0, 0, 1), true);
   p.on_insert(16, write_req(1, 16, 1), true);
-  EXPECT_EQ(p.occupied_pages(), 2u);
+  EXPECT_EQ(p->occupied_pages(), 2u);
 }
 
 TEST(BplruPolicyTest, BlockUnitAllocationReservesWholeBlocks) {
   BplruOptions opts;
   opts.block_unit_allocation = true;
-  BplruPolicy p(8, opts);
+  Driven<BplruPolicy> p(8, opts);
   p.on_insert(0, write_req(0, 0, 1), true);   // block 0: 1 page
   p.on_insert(16, write_req(1, 16, 1), true); // block 2: 1 page
-  EXPECT_EQ(p.pages(), 2u);
-  EXPECT_EQ(p.occupied_pages(), 16u);  // two full 8-page block units
+  EXPECT_EQ(p->pages(), 2u);
+  EXPECT_EQ(p->occupied_pages(), 16u);  // two full 8-page block units
   p.select_victim();
-  EXPECT_EQ(p.occupied_pages(), 8u);
+  EXPECT_EQ(p->occupied_pages(), 8u);
 }
 
 TEST(BplruPolicyTest, BlockUnitAllocationLimitsResidency) {

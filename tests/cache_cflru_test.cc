@@ -8,17 +8,18 @@ namespace reqblock {
 namespace {
 
 using testing::read_req;
+using testing::Driven;
 using testing::write_req;
 
 TEST(CflruPolicyTest, AllDirtyDegeneratesToLru) {
-  CflruPolicy p(8, 0.5);
+  Driven<CflruPolicy> p(8, 0.5);
   for (Lpn l = 0; l < 4; ++l) p.on_insert(l, write_req(l, l, 1), true);
   EXPECT_EQ(p.select_victim().pages[0], 0u);
   EXPECT_EQ(p.select_victim().pages[0], 1u);
 }
 
 TEST(CflruPolicyTest, CleanPageInWindowPreferred) {
-  CflruPolicy p(8, 0.5);  // window = 4 entries
+  Driven<CflruPolicy> p(8, 0.5);  // window = 4 entries
   p.on_insert(0, write_req(0, 0, 1), true);   // dirty, will be LRU tail
   p.on_insert(1, read_req(1, 1, 1), false);   // clean
   p.on_insert(2, write_req(2, 2, 1), true);
@@ -27,7 +28,7 @@ TEST(CflruPolicyTest, CleanPageInWindowPreferred) {
 }
 
 TEST(CflruPolicyTest, CleanOutsideWindowNotConsidered) {
-  CflruPolicy p(8, 0.25);  // window = 2 entries
+  Driven<CflruPolicy> p(8, 0.25);  // window = 2 entries
   p.on_insert(0, read_req(0, 0, 1), false);  // clean but oldest
   p.on_insert(1, write_req(1, 1, 1), true);
   p.on_insert(2, write_req(2, 2, 1), true);
@@ -36,7 +37,7 @@ TEST(CflruPolicyTest, CleanOutsideWindowNotConsidered) {
   EXPECT_EQ(p.select_victim().pages[0], 0u);
 
   // Now make a clean page sit beyond the window.
-  CflruPolicy q(8, 0.25);
+  Driven<CflruPolicy> q(8, 0.25);
   q.on_insert(10, write_req(0, 10, 1), true);
   q.on_insert(11, write_req(1, 11, 1), true);
   q.on_insert(12, read_req(2, 12, 1), false);  // clean, 3rd from tail
@@ -46,7 +47,7 @@ TEST(CflruPolicyTest, CleanOutsideWindowNotConsidered) {
 }
 
 TEST(CflruPolicyTest, WriteHitDirtiesCleanPage) {
-  CflruPolicy p(8, 1.0);
+  Driven<CflruPolicy> p(8, 1.0);
   p.on_insert(0, read_req(0, 0, 1), false);  // clean
   p.on_insert(1, write_req(1, 1, 1), true);
   p.on_hit(0, write_req(2, 0, 1), true);     // now dirty, and MRU
@@ -55,7 +56,7 @@ TEST(CflruPolicyTest, WriteHitDirtiesCleanPage) {
 }
 
 TEST(CflruPolicyTest, ReadHitKeepsCleanState) {
-  CflruPolicy p(8, 1.0);
+  Driven<CflruPolicy> p(8, 1.0);
   p.on_insert(0, read_req(0, 0, 1), false);
   p.on_insert(1, write_req(1, 1, 1), true);
   p.on_hit(0, read_req(2, 0, 1), false);
@@ -69,7 +70,7 @@ TEST(CflruPolicyTest, InvalidWindowFractionThrows) {
 }
 
 TEST(CflruPolicyTest, EmptyVictim) {
-  CflruPolicy p(8, 0.5);
+  Driven<CflruPolicy> p(8, 0.5);
   EXPECT_TRUE(p.select_victim().empty());
 }
 

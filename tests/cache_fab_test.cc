@@ -9,10 +9,11 @@
 namespace reqblock {
 namespace {
 
+using testing::Driven;
 using testing::write_req;
 
 TEST(FabPolicyTest, EvictsLargestGroup) {
-  FabPolicy fab(/*pages_per_block=*/8);
+  Driven<FabPolicy> fab(/*pages_per_block=*/8);
   // Block 0: pages 0..2 (3 pages). Block 1: pages 8..12 (5 pages).
   for (Lpn l = 0; l < 3; ++l) fab.on_insert(l, write_req(0, l, 1), true);
   for (Lpn l = 8; l < 13; ++l) fab.on_insert(l, write_req(1, l, 1), true);
@@ -22,11 +23,11 @@ TEST(FabPolicyTest, EvictsLargestGroup) {
     EXPECT_GE(l, 8u);
     EXPECT_LT(l, 13u);
   }
-  EXPECT_EQ(fab.pages(), 3u);
+  EXPECT_EQ(fab->pages(), 3u);
 }
 
 TEST(FabPolicyTest, TieBrokenBySmallestBlockId) {
-  FabPolicy fab(8);
+  Driven<FabPolicy> fab(8);
   for (Lpn l = 16; l < 18; ++l) fab.on_insert(l, write_req(0, l, 1), true);
   for (Lpn l = 0; l < 2; ++l) fab.on_insert(l, write_req(1, l, 1), true);
   // Both groups hold 2 pages; block 0 < block 2.
@@ -36,7 +37,7 @@ TEST(FabPolicyTest, TieBrokenBySmallestBlockId) {
 }
 
 TEST(FabPolicyTest, RecencyIgnored) {
-  FabPolicy fab(8);
+  Driven<FabPolicy> fab(8);
   for (Lpn l = 0; l < 4; ++l) fab.on_insert(l, write_req(0, l, 1), true);
   fab.on_insert(8, write_req(1, 8, 1), true);
   // Heavy hits on the big group change nothing: it is still evicted first.
@@ -45,22 +46,22 @@ TEST(FabPolicyTest, RecencyIgnored) {
 }
 
 TEST(FabPolicyTest, GroupSizeQuery) {
-  FabPolicy fab(8);
+  Driven<FabPolicy> fab(8);
   fab.on_insert(0, write_req(0, 0, 1), true);
   fab.on_insert(1, write_req(0, 1, 1), true);
-  EXPECT_EQ(fab.group_size(0), 2u);
-  EXPECT_EQ(fab.group_size(7), 0u);
+  EXPECT_EQ(fab->group_size(0), 2u);
+  EXPECT_EQ(fab->group_size(7), 0u);
 }
 
 TEST(FabPolicyTest, MetadataPerGroup) {
-  FabPolicy fab(8);
+  Driven<FabPolicy> fab(8);
   fab.on_insert(0, write_req(0, 0, 1), true);   // block 0
   fab.on_insert(9, write_req(1, 9, 1), true);   // block 1
-  EXPECT_EQ(fab.metadata_bytes(), 48u);
+  EXPECT_EQ(fab->metadata_bytes(), 48u);
 }
 
 TEST(FabPolicyTest, EmptyVictim) {
-  FabPolicy fab(8);
+  Driven<FabPolicy> fab(8);
   EXPECT_TRUE(fab.select_victim().empty());
 }
 

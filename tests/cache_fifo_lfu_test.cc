@@ -7,10 +7,12 @@
 namespace reqblock {
 namespace {
 
+using testing::Driven;
+using testing::kTestSlots;
 using testing::write_req;
 
 TEST(FifoPolicyTest, EvictsInInsertionOrder) {
-  FifoPolicy fifo;
+  Driven<FifoPolicy> fifo(kTestSlots);
   for (Lpn l = 0; l < 4; ++l) fifo.on_insert(l, write_req(l, l, 1), true);
   for (Lpn expect = 0; expect < 4; ++expect) {
     EXPECT_EQ(fifo.select_victim().pages[0], expect);
@@ -18,7 +20,7 @@ TEST(FifoPolicyTest, EvictsInInsertionOrder) {
 }
 
 TEST(FifoPolicyTest, HitsDoNotPromote) {
-  FifoPolicy fifo;
+  Driven<FifoPolicy> fifo(kTestSlots);
   fifo.on_insert(1, write_req(0, 1, 1), true);
   fifo.on_insert(2, write_req(1, 2, 1), true);
   fifo.on_hit(1, write_req(2, 1, 1), true);
@@ -26,20 +28,20 @@ TEST(FifoPolicyTest, HitsDoNotPromote) {
 }
 
 TEST(FifoPolicyTest, EmptyVictim) {
-  FifoPolicy fifo;
+  Driven<FifoPolicy> fifo(kTestSlots);
   EXPECT_TRUE(fifo.select_victim().empty());
 }
 
 TEST(FifoPolicyTest, PopulationTracked) {
-  FifoPolicy fifo;
+  Driven<FifoPolicy> fifo(kTestSlots);
   fifo.on_insert(1, write_req(0, 1, 1), true);
-  EXPECT_EQ(fifo.pages(), 1u);
+  EXPECT_EQ(fifo->pages(), 1u);
   fifo.select_victim();
-  EXPECT_EQ(fifo.pages(), 0u);
+  EXPECT_EQ(fifo->pages(), 0u);
 }
 
 TEST(LfuPolicyTest, EvictsLeastFrequent) {
-  LfuPolicy lfu;
+  Driven<LfuPolicy> lfu(kTestSlots);
   lfu.on_insert(1, write_req(0, 1, 1), true);
   lfu.on_insert(2, write_req(1, 2, 1), true);
   lfu.on_hit(1, write_req(2, 1, 1), true);  // lpn 1 now freq 2
@@ -47,7 +49,7 @@ TEST(LfuPolicyTest, EvictsLeastFrequent) {
 }
 
 TEST(LfuPolicyTest, TieBrokenByLeastRecent) {
-  LfuPolicy lfu;
+  Driven<LfuPolicy> lfu(kTestSlots);
   lfu.on_insert(1, write_req(0, 1, 1), true);
   lfu.on_insert(2, write_req(1, 2, 1), true);
   lfu.on_insert(3, write_req(2, 3, 1), true);
@@ -57,17 +59,17 @@ TEST(LfuPolicyTest, TieBrokenByLeastRecent) {
 }
 
 TEST(LfuPolicyTest, FrequencyCounting) {
-  LfuPolicy lfu;
+  Driven<LfuPolicy> lfu(kTestSlots);
   lfu.on_insert(7, write_req(0, 7, 1), true);
-  EXPECT_EQ(lfu.frequency_of(7), 1u);
+  EXPECT_EQ(lfu->frequency_of(7), 1u);
   lfu.on_hit(7, write_req(1, 7, 1), true);
   lfu.on_hit(7, write_req(2, 7, 1), false);
-  EXPECT_EQ(lfu.frequency_of(7), 3u);
-  EXPECT_EQ(lfu.frequency_of(999), 0u);
+  EXPECT_EQ(lfu->frequency_of(7), 3u);
+  EXPECT_EQ(lfu->frequency_of(999), 0u);
 }
 
 TEST(LfuPolicyTest, HighFrequencySurvivesChurn) {
-  LfuPolicy lfu;
+  Driven<LfuPolicy> lfu(kTestSlots);
   lfu.on_insert(100, write_req(0, 100, 1), true);
   for (int i = 0; i < 5; ++i) lfu.on_hit(100, write_req(1, 100, 1), true);
   for (Lpn l = 0; l < 10; ++l) {
@@ -75,18 +77,18 @@ TEST(LfuPolicyTest, HighFrequencySurvivesChurn) {
     const auto v = lfu.select_victim();
     ASSERT_NE(v.pages[0], 100u);
   }
-  EXPECT_EQ(lfu.frequency_of(100), 6u);
+  EXPECT_EQ(lfu->frequency_of(100), 6u);
 }
 
 TEST(LfuPolicyTest, EmptyVictim) {
-  LfuPolicy lfu;
+  Driven<LfuPolicy> lfu(kTestSlots);
   EXPECT_TRUE(lfu.select_victim().empty());
 }
 
 TEST(LfuPolicyTest, MetadataAccountsFrequencyCounter) {
-  LfuPolicy lfu;
+  Driven<LfuPolicy> lfu(kTestSlots);
   lfu.on_insert(1, write_req(0, 1, 1), true);
-  EXPECT_EQ(lfu.metadata_bytes(), 16u);
+  EXPECT_EQ(lfu->metadata_bytes(), 16u);
 }
 
 }  // namespace

@@ -7,10 +7,12 @@
 namespace reqblock {
 namespace {
 
+using testing::Driven;
+using testing::kTestSlots;
 using testing::write_req;
 
 TEST(LruPolicyTest, EvictsLeastRecentlyUsed) {
-  LruPolicy lru;
+  Driven<LruPolicy> lru(kTestSlots);
   lru.on_insert(1, write_req(0, 1, 1), true);
   lru.on_insert(2, write_req(1, 2, 1), true);
   lru.on_insert(3, write_req(2, 3, 1), true);
@@ -22,7 +24,7 @@ TEST(LruPolicyTest, EvictsLeastRecentlyUsed) {
 }
 
 TEST(LruPolicyTest, HitPromotes) {
-  LruPolicy lru;
+  Driven<LruPolicy> lru(kTestSlots);
   lru.on_insert(1, write_req(0, 1, 1), true);
   lru.on_insert(2, write_req(1, 2, 1), true);
   lru.on_hit(1, write_req(2, 1, 1), true);
@@ -30,7 +32,7 @@ TEST(LruPolicyTest, HitPromotes) {
 }
 
 TEST(LruPolicyTest, ReadHitAlsoPromotes) {
-  LruPolicy lru;
+  Driven<LruPolicy> lru(kTestSlots);
   lru.on_insert(1, write_req(0, 1, 1), true);
   lru.on_insert(2, write_req(1, 2, 1), true);
   lru.on_hit(1, testing::read_req(2, 1, 1), false);
@@ -38,39 +40,39 @@ TEST(LruPolicyTest, ReadHitAlsoPromotes) {
 }
 
 TEST(LruPolicyTest, PagesTracksPopulation) {
-  LruPolicy lru;
-  EXPECT_EQ(lru.pages(), 0u);
+  Driven<LruPolicy> lru(kTestSlots);
+  EXPECT_EQ(lru->pages(), 0u);
   lru.on_insert(5, write_req(0, 5, 1), true);
   lru.on_insert(6, write_req(0, 6, 1), true);
-  EXPECT_EQ(lru.pages(), 2u);
+  EXPECT_EQ(lru->pages(), 2u);
   lru.select_victim();
-  EXPECT_EQ(lru.pages(), 1u);
+  EXPECT_EQ(lru->pages(), 1u);
 }
 
 TEST(LruPolicyTest, MetadataIsTwelveBytesPerPage) {
-  LruPolicy lru;
+  Driven<LruPolicy> lru(kTestSlots);
   for (Lpn l = 0; l < 10; ++l) lru.on_insert(l, write_req(l, l, 1), true);
-  EXPECT_EQ(lru.metadata_bytes(), 120u);
+  EXPECT_EQ(lru->metadata_bytes(), 120u);
 }
 
 TEST(LruPolicyTest, EmptyVictimWhenNoPages) {
-  LruPolicy lru;
+  Driven<LruPolicy> lru(kTestSlots);
   EXPECT_TRUE(lru.select_victim().empty());
 }
 
 TEST(LruPolicyTest, DoubleInsertRejected) {
-  LruPolicy lru;
+  Driven<LruPolicy> lru(kTestSlots);
   lru.on_insert(1, write_req(0, 1, 1), true);
   EXPECT_THROW(lru.on_insert(1, write_req(1, 1, 1), true), std::logic_error);
 }
 
 TEST(LruPolicyTest, HitOnUntrackedRejected) {
-  LruPolicy lru;
+  Driven<LruPolicy> lru(kTestSlots);
   EXPECT_THROW(lru.on_hit(9, write_req(0, 9, 1), true), std::logic_error);
 }
 
 TEST(LruPolicyTest, FullOrderMaintainedUnderChurn) {
-  LruPolicy lru;
+  Driven<LruPolicy> lru(kTestSlots);
   for (Lpn l = 0; l < 8; ++l) lru.on_insert(l, write_req(l, l, 1), true);
   // Touch even pages; odd pages should then evict first, in order.
   for (Lpn l = 0; l < 8; l += 2) lru.on_hit(l, write_req(10, l, 1), true);

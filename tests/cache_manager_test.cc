@@ -14,6 +14,8 @@ using testing::write_req;
 
 // One oracle/slot entry per written LPN: u32 version, 31-bit slot, flag.
 static_assert(sizeof(CacheManager::LpnState) == 8);
+// One page entry of a block-structured policy: u32 LPN, u32 slot.
+static_assert(sizeof(SlotPage) == 8);
 
 TEST(CacheManagerTest, WriteInsertsCountedNotHits) {
   Harness h(policy_config("lru", 16));

@@ -9,28 +9,29 @@
 namespace reqblock {
 namespace {
 
+using testing::Driven;
 using testing::write_req;
 
 VbbmsOptions opts() { return VbbmsOptions{}; }
 
 TEST(VbbmsPolicyTest, ClassifiesByRequestSize) {
-  VbbmsPolicy p(100, opts());
+  Driven<VbbmsPolicy> p(100, opts());
   p.on_insert(0, write_req(0, 0, 2), true);     // small -> random region
   p.on_insert(100, write_req(1, 100, 8), true); // large -> sequential region
-  EXPECT_EQ(p.random_pages(), 1u);
-  EXPECT_EQ(p.seq_pages(), 1u);
+  EXPECT_EQ(p->random_pages(), 1u);
+  EXPECT_EQ(p->seq_pages(), 1u);
 }
 
 TEST(VbbmsPolicyTest, ThresholdBoundary) {
-  VbbmsPolicy p(100, opts());  // threshold 5
+  Driven<VbbmsPolicy> p(100, opts());  // threshold 5
   p.on_insert(0, write_req(0, 0, 4), true);
   p.on_insert(10, write_req(1, 10, 5), true);
-  EXPECT_EQ(p.random_pages(), 1u);
-  EXPECT_EQ(p.seq_pages(), 1u);
+  EXPECT_EQ(p->random_pages(), 1u);
+  EXPECT_EQ(p->seq_pages(), 1u);
 }
 
 TEST(VbbmsPolicyTest, RandomRegionUsesVirtualBlockLru) {
-  VbbmsPolicy p(100, opts());
+  Driven<VbbmsPolicy> p(100, opts());
   // Virtual blocks of 3 pages: lpns 0..2 -> vb0, 3..5 -> vb1.
   p.on_insert(0, write_req(0, 0, 1), true);
   p.on_insert(1, write_req(1, 1, 1), true);
@@ -46,7 +47,7 @@ TEST(VbbmsPolicyTest, RandomRegionUsesVirtualBlockLru) {
 TEST(VbbmsPolicyTest, SequentialRegionIsFifo) {
   VbbmsOptions o = opts();
   o.random_fraction = 0.5;
-  VbbmsPolicy p(4, o);  // tiny: quotas 2 and 2
+  Driven<VbbmsPolicy> p(4, o);  // tiny: quotas 2 and 2
   p.on_insert(100, write_req(0, 100, 8), true);  // seq vb 25
   p.on_insert(104, write_req(1, 104, 8), true);  // seq vb 26
   p.on_hit(100, write_req(2, 100, 8), true);     // FIFO ignores the hit
@@ -56,7 +57,7 @@ TEST(VbbmsPolicyTest, SequentialRegionIsFifo) {
 }
 
 TEST(VbbmsPolicyTest, WholeVirtualBlockEvictedTogether) {
-  VbbmsPolicy p(100, opts());
+  Driven<VbbmsPolicy> p(100, opts());
   for (Lpn l = 0; l < 3; ++l) p.on_insert(l, write_req(l, l, 1), true);
   const auto v = p.select_victim();
   EXPECT_EQ(v.pages.size(), 3u);  // vb0 holds lpns 0,1,2
@@ -66,7 +67,7 @@ TEST(VbbmsPolicyTest, WholeVirtualBlockEvictedTogether) {
 TEST(VbbmsPolicyTest, EvictsOverloadedRegion) {
   VbbmsOptions o = opts();
   o.random_fraction = 0.6;
-  VbbmsPolicy p(10, o);  // random quota 6, seq quota 4
+  Driven<VbbmsPolicy> p(10, o);  // random quota 6, seq quota 4
   // Load 5 sequential pages (load 1.25) vs 3 random pages (load 0.5).
   p.on_insert(100, write_req(0, 100, 8), true);
   p.on_insert(101, write_req(0, 101, 8), true);
@@ -82,29 +83,29 @@ TEST(VbbmsPolicyTest, EvictsOverloadedRegion) {
 }
 
 TEST(VbbmsPolicyTest, FallsBackToNonEmptyRegion) {
-  VbbmsPolicy p(10, opts());
+  Driven<VbbmsPolicy> p(10, opts());
   p.on_insert(0, write_req(0, 0, 1), true);  // only random has pages
   const auto v = p.select_victim();
   EXPECT_EQ(v.pages.size(), 1u);
-  EXPECT_EQ(p.pages(), 0u);
+  EXPECT_EQ(p->pages(), 0u);
 }
 
 TEST(VbbmsPolicyTest, ReinsertionAfterEvictionCanSwitchRegion) {
-  VbbmsPolicy p(10, opts());
+  Driven<VbbmsPolicy> p(10, opts());
   p.on_insert(0, write_req(0, 0, 1), true);  // random
   auto v = p.select_victim();
   ASSERT_EQ(v.pages[0], 0u);
   p.on_insert(0, write_req(1, 0, 8), true);  // now sequential
-  EXPECT_EQ(p.seq_pages(), 1u);
-  EXPECT_EQ(p.random_pages(), 0u);
+  EXPECT_EQ(p->seq_pages(), 1u);
+  EXPECT_EQ(p->random_pages(), 0u);
 }
 
 TEST(VbbmsPolicyTest, MetadataCountsVirtualBlocks) {
-  VbbmsPolicy p(100, opts());
+  Driven<VbbmsPolicy> p(100, opts());
   p.on_insert(0, write_req(0, 0, 1), true);    // random vb
   p.on_insert(1, write_req(1, 1, 1), true);    // same random vb
   p.on_insert(100, write_req(2, 100, 8), true);  // seq vb
-  EXPECT_EQ(p.metadata_bytes(), 48u);
+  EXPECT_EQ(p->metadata_bytes(), 48u);
 }
 
 TEST(VbbmsPolicyTest, InvalidOptionsThrow) {
@@ -117,7 +118,7 @@ TEST(VbbmsPolicyTest, InvalidOptionsThrow) {
 }
 
 TEST(VbbmsPolicyTest, EmptyVictim) {
-  VbbmsPolicy p(10, opts());
+  Driven<VbbmsPolicy> p(10, opts());
   EXPECT_TRUE(p.select_victim().empty());
 }
 

@@ -16,6 +16,7 @@
 
 #include "cache/policy_factory.h"
 #include "sim/report.h"
+#include "snapshot/snapshot.h"
 #include "test_util.h"
 #include "trace/synthetic.h"
 #include "util/audit.h"
@@ -72,22 +73,40 @@ std::string csv_of(const RunResult& r) {
   return os.str();
 }
 
-RunResult run_uninterrupted(const SimOptions& o, const WorkloadProfile& p) {
+/// The session's full checkpoint state, as bytes.
+std::string state_of(const SimulationSession& session) {
+  SnapshotWriter w;
+  session.serialize(w);
+  return w.take();
+}
+
+/// Runs to completion; `final_state` (optional) receives the state the
+/// session ends in.
+RunResult run_uninterrupted(const SimOptions& o, const WorkloadProfile& p,
+                            std::string* final_state = nullptr) {
   SyntheticTraceSource trace(p);
   SimulationSession session(o, trace);
   while (session.step()) {
   }
+  if (final_state != nullptr) *final_state = state_of(session);
   return session.finish();
 }
 
 /// Runs to `split` requests, checkpoints, abandons the session (the
 /// crash), then restores into a fresh session and finishes the run.
+/// `evictions_at_split` (optional) receives the cache's eviction count
+/// when the checkpoint was taken.
 RunResult run_interrupted(const SimOptions& o, const WorkloadProfile& p,
-                          std::uint64_t split, const std::string& dir) {
+                          std::uint64_t split, const std::string& dir,
+                          std::string* final_state = nullptr,
+                          std::uint64_t* evictions_at_split = nullptr) {
   {
     SyntheticTraceSource trace(p);
     SimulationSession session(o, trace);
     while (session.served() < split && session.step()) {
+    }
+    if (evictions_at_split != nullptr) {
+      *evictions_at_split = session.cache().metrics().evictions;
     }
     save_session_checkpoint(session, dir, "run", 2);
   }
@@ -98,6 +117,7 @@ RunResult run_interrupted(const SimOptions& o, const WorkloadProfile& p,
   restore_session_checkpoint(session, latest);
   while (session.step()) {
   }
+  if (final_state != nullptr) *final_state = state_of(session);
   return session.finish();
 }
 
@@ -111,9 +131,23 @@ TEST(CheckpointResumeTest, ByteIdenticalCsvForEveryPolicy) {
       const std::string dir =
           scratch_dir(policy + (faults ? "_f" : "_nf"));
 
-      const RunResult whole = run_uninterrupted(o, profile);
-      const RunResult resumed = run_interrupted(o, profile, 700, dir);
+      std::string whole_state;
+      std::string resumed_state;
+      std::uint64_t evictions_at_split = 0;
+      const RunResult whole = run_uninterrupted(o, profile, &whole_state);
+      const RunResult resumed = run_interrupted(
+          o, profile, 700, dir, &resumed_state, &evictions_at_split);
+      // Evictions before the split scramble the free-slot order, so the
+      // restore (which re-occupies slots in ascending LPN order) binds
+      // pages to different slots than the live run: policies must carry
+      // no slot into a decision or into the bytes.
+      EXPECT_GT(evictions_at_split, 0u);
       EXPECT_EQ(csv_of(whole), csv_of(resumed));
+      // Compared as a bool: a byte dump of two session snapshots would
+      // bury the report.
+      EXPECT_TRUE(whole_state == resumed_state)
+          << "final session snapshots differ (" << whole_state.size()
+          << " vs " << resumed_state.size() << " bytes)";
     }
   }
 }

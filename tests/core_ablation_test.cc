@@ -53,7 +53,7 @@ TEST(ReqBlockAblationTest, ColocatedFlushSlowerThanStriped) {
 TEST(ReqBlockAblationTest, ColocateFlagPropagatesToVictims) {
   ReqBlockOptions opts;
   opts.colocate_flush = true;
-  ReqBlockPolicy p(opts);
+  testing::Driven<ReqBlockPolicy> p(testing::kTestSlots, opts);
   IoRequest req = testing::write_req(1, 0, 4);
   p.begin_request(req);
   for (Lpn l = 0; l < 4; ++l) p.on_insert(l, req, true);
@@ -73,7 +73,7 @@ TEST(ReqBlockAblationTest, FreqModesChangeEvictionChoices) {
        {FreqMode::kNoTime, FreqMode::kNoSize, FreqMode::kCountOnly}) {
     ReqBlockOptions opts;
     opts.freq_mode = mode;
-    ReqBlockPolicy p(opts);
+    testing::Driven<ReqBlockPolicy> p(testing::kTestSlots, opts);
     IoRequest a = testing::write_req(1, 0, 2);
     p.begin_request(a);
     p.on_insert(0, a, true);
@@ -91,7 +91,7 @@ TEST(ReqBlockAblationTest, FreqModesChangeEvictionChoices) {
     ASSERT_FALSE(v.empty());
     // Sanity only: all modes must still produce a non-empty legal victim.
     for (const Lpn l : v.pages) {
-      EXPECT_EQ(p.block_of(l), nullptr);
+      EXPECT_EQ(p->block_of(l), nullptr);
     }
   }
 }
@@ -104,11 +104,13 @@ TEST(ReqBlockAblationTest, FreqModesChangeEvictionChoices) {
 /// kFull:       freq(A) = 2/age ~ 0.1 < freq(C) = 1/1   -> evicts A.
 /// kNoTime:     freq(A) = 2      > freq(C) = 1          -> evicts C.
 /// kCountOnly:  acc(A)  = 2      > acc(C)  = 1          -> evicts C.
-std::unique_ptr<ReqBlockPolicy> make_disagreement_state(FreqMode mode) {
+std::unique_ptr<testing::Driven<ReqBlockPolicy>> make_disagreement_state(
+    FreqMode mode) {
   ReqBlockOptions opts;
   opts.freq_mode = mode;
-  auto policy = std::make_unique<ReqBlockPolicy>(opts);
-  ReqBlockPolicy& p = *policy;
+  auto policy = std::make_unique<testing::Driven<ReqBlockPolicy>>(
+      testing::kTestSlots, opts);
+  testing::Driven<ReqBlockPolicy>& p = *policy;
   IoRequest a = testing::write_req(1, 0, 1);
   p.begin_request(a);
   p.on_insert(0, a, true);

@@ -14,6 +14,7 @@
 namespace reqblock {
 namespace {
 
+using testing::Driven;
 using testing::write_req;
 
 struct SweepParam {
@@ -31,7 +32,7 @@ TEST_P(ReqBlockSweep, StructuralInvariantsUnderChurn) {
   opts.delta = param.delta;
   opts.merge_on_evict = param.merge;
   opts.freq_mode = param.mode;
-  ReqBlockPolicy policy(opts);
+  Driven<ReqBlockPolicy> policy(testing::kTestSlots, opts);
 
   Rng rng(param.seed);
   std::unordered_set<Lpn> cached;  // reference model of residency
@@ -62,20 +63,20 @@ TEST_P(ReqBlockSweep, StructuralInvariantsUnderChurn) {
         cached.insert(lpn);
       }
       // Core invariants after every step.
-      ASSERT_EQ(policy.pages(), cached.size());
-      const auto occ = policy.occupancy();
+      ASSERT_EQ(policy->pages(), cached.size());
+      const auto occ = policy->occupancy();
       ASSERT_EQ(occ.total_pages(), cached.size());
       ASSERT_EQ(occ.irl_blocks + occ.srl_blocks + occ.drl_blocks,
-                policy.block_count());
+                policy->block_count());
     }
   }
 
   // Every cached page must resolve to a block that agrees on membership.
   for (const Lpn lpn : cached) {
-    const ReqBlock* b = policy.block_of(lpn);
+    const ReqBlock* b = policy->block_of(lpn);
     ASSERT_NE(b, nullptr);
     bool found = false;
-    for (const Lpn p : b->pages) found = found || p == lpn;
+    for (const SlotPage& p : b->pages) found = found || p.lpn == lpn;
     ASSERT_TRUE(found);
   }
 }
@@ -86,7 +87,7 @@ TEST_P(ReqBlockSweep, SrlBlocksNeverExceedDelta) {
   opts.delta = param.delta;
   opts.merge_on_evict = param.merge;
   opts.freq_mode = param.mode;
-  ReqBlockPolicy policy(opts);
+  Driven<ReqBlockPolicy> policy(testing::kTestSlots, opts);
 
   Rng rng(param.seed ^ 0xabcdef);
   std::unordered_set<Lpn> cached;
@@ -99,7 +100,7 @@ TEST_P(ReqBlockSweep, SrlBlocksNeverExceedDelta) {
       const Lpn lpn = base + i;
       if (cached.contains(lpn)) {
         policy.on_hit(lpn, req, true);
-        const ReqBlock* b = policy.block_of(lpn);
+        const ReqBlock* b = policy->block_of(lpn);
         ASSERT_NE(b, nullptr);
         if (b->level == ReqList::kSRL) {
           ASSERT_LE(b->page_count(), param.delta);
@@ -126,7 +127,7 @@ TEST_P(ReqBlockSweep, EvictionAlwaysMakesProgressWhenUnguarded) {
   opts.delta = param.delta;
   opts.merge_on_evict = param.merge;
   opts.freq_mode = param.mode;
-  ReqBlockPolicy policy(opts);
+  Driven<ReqBlockPolicy> policy(testing::kTestSlots, opts);
 
   // Insert several complete requests; then eviction (outside any request)
   // must be able to drain the policy completely.
@@ -145,13 +146,13 @@ TEST_P(ReqBlockSweep, EvictionAlwaysMakesProgressWhenUnguarded) {
   // New request context releases the guards.
   policy.begin_request(write_req(1000, 1 << 20, 1));
   std::uint64_t drained = 0;
-  while (policy.pages() > 0) {
+  while (policy->pages() > 0) {
     const auto victim = policy.select_victim();
     ASSERT_FALSE(victim.empty()) << "pages remain but no victim";
     drained += victim.pages.size();
   }
   EXPECT_EQ(drained, inserted);
-  EXPECT_EQ(policy.block_count(), 0u);
+  EXPECT_EQ(policy->block_count(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -52,7 +52,7 @@ constexpr std::uint64_t kAuditStride = 97;  // prime: no phase-lock with ops
 
 template <typename Policy, typename Reference>
 void run_differential(std::uint64_t seed) {
-  Policy policy;
+  Driven<Policy> policy(kTestSlots);
   Reference reference;
   Rng rng(seed);
   std::uint64_t evictions = 0;
@@ -64,7 +64,7 @@ void run_differential(std::uint64_t seed) {
       VictimBatch batch = policy.select_victim();
       ASSERT_EQ(batch.pages.size(), 1u) << "op " << op;
       ASSERT_EQ(batch.pages.front(), expected)
-          << policy.name() << " diverged from reference at op " << op;
+          << policy->name() << " diverged from reference at op " << op;
       ++evictions;
     } else {
       const Lpn lpn = rng.next_below(kLpnSpace);
@@ -77,10 +77,10 @@ void run_differential(std::uint64_t seed) {
         policy.on_insert(lpn, req, /*is_write=*/true);
       }
     }
-    ASSERT_EQ(policy.pages(), reference.size()) << "op " << op;
-    if (op % kAuditStride == 0) expect_clean_audit(policy, op);
+    ASSERT_EQ(policy->pages(), reference.size()) << "op " << op;
+    if (op % kAuditStride == 0) expect_clean_audit(*policy, op);
   }
-  expect_clean_audit(policy, kOps);
+  expect_clean_audit(*policy, kOps);
   // The stream must actually have exercised the eviction path.
   EXPECT_GT(evictions, 10'000u);
 }
@@ -105,7 +105,7 @@ TEST(DifferentialPolicy, LfuMatchesReferenceOver100kOps) {
 TEST(DifferentialPolicy, ReqBlockMatchesBruteForceEq1Over100kOps) {
   ReqBlockOptions opt;
   opt.delta = 5;
-  ReqBlockPolicy policy(opt);
+  Driven<ReqBlockPolicy> policy(kTestSlots, opt);
   Rng rng(0xD1FF);
 
   std::uint64_t pages_processed = 0;
@@ -125,7 +125,7 @@ TEST(DifferentialPolicy, ReqBlockMatchesBruteForceEq1Over100kOps) {
     policy.begin_request(req);
     for (std::uint32_t i = 0; i < len; ++i) {
       const Lpn lpn = start + i;
-      if (policy.block_of(lpn) != nullptr) {
+      if (policy.slot_of(lpn) != kNoSlot) {
         policy.on_hit(lpn, req, /*is_write=*/true);
       } else {
         policy.on_insert(lpn, req, /*is_write=*/true);
@@ -133,10 +133,10 @@ TEST(DifferentialPolicy, ReqBlockMatchesBruteForceEq1Over100kOps) {
       ++pages_processed;
       // Keep the structure near a fixed size, evicting like the manager
       // does when over capacity.
-      while (policy.pages() > 256) {
-        const ReqBlock* expected_victim = brute_force_victim(policy);
+      while (policy->pages() > 256) {
+        const ReqBlock* expected_victim = brute_force_victim(*policy);
         const std::vector<Lpn> expected =
-            expected_victim_pages(policy, expected_victim);
+            expected_victim_pages(*policy, expected_victim);
         // Capture before select_victim: the victim block is destroyed by
         // the eviction itself.
         const bool victim_was_split =
@@ -157,7 +157,7 @@ TEST(DifferentialPolicy, ReqBlockMatchesBruteForceEq1Over100kOps) {
         }
       }
     }
-    expect_clean_audit(policy, pages_processed);
+    expect_clean_audit(*policy, pages_processed);
   }
 
   // The workload must have hit the interesting paths, not skated past them.
@@ -173,7 +173,7 @@ TEST(DifferentialPolicy, ReqBlockBruteForceAgreesUnderFreqModes) {
     ReqBlockOptions opt;
     opt.delta = 3;
     opt.freq_mode = mode;
-    ReqBlockPolicy policy(opt);
+    Driven<ReqBlockPolicy> policy(kTestSlots, opt);
     Rng rng(0x5EED + static_cast<std::uint64_t>(mode));
 
     std::uint64_t req_id = 1;
@@ -185,14 +185,14 @@ TEST(DifferentialPolicy, ReqBlockBruteForceAgreesUnderFreqModes) {
       policy.begin_request(req);
       for (std::uint32_t i = 0; i < len; ++i) {
         const Lpn lpn = start + i;
-        if (policy.block_of(lpn) != nullptr) {
+        if (policy.slot_of(lpn) != kNoSlot) {
           policy.on_hit(lpn, req, true);
         } else {
           policy.on_insert(lpn, req, true);
         }
-        while (policy.pages() > 96) {
+        while (policy->pages() > 96) {
           const std::vector<Lpn> expected =
-              expected_victim_pages(policy, brute_force_victim(policy));
+              expected_victim_pages(*policy, brute_force_victim(*policy));
           VictimBatch batch = policy.select_victim();
           std::vector<Lpn> got = batch.pages;
           std::sort(got.begin(), got.end());

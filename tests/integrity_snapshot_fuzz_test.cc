@@ -232,10 +232,44 @@ TEST(IntegritySnapshotFuzzTest, ParityWithoutStripesWiredIsRefused) {
 }
 
 TEST(IntegritySnapshotFuzzTest, ScrubCursorOutsideGeometryIsRefused) {
-  // Advance the patrol cursor to block 9 on a 16-block device, then
-  // restore into an 8-block device of identical plane/channel shape: the
-  // cursor lands outside the geometry and must be refused before any
-  // flash state is touched.
+  // Patch the patrol cursor of an otherwise valid 8-block snapshot to
+  // block 9: it lands outside the geometry and must be refused before any
+  // flash state is touched. (A larger device's snapshot no longer gets
+  // this far: its mapping table is refused first, see the next test.)
+  const SsdConfig cfg = fuzz_ssd(8);
+  Ftl ftl(cfg);
+  SnapshotWriter w;
+  ftl.serialize(w);
+  std::string bytes = w.take();
+  SnapshotReader head(bytes);
+  head.tag("ftl");
+  ASSERT_EQ(head.u64(), 0u);  // no mappings
+  ASSERT_EQ(head.u64(), 0u);  // no versions
+  ASSERT_EQ(head.u64(), 0u);  // no pre-existing ranges
+  head.u64();                 // round-robin counter
+  head.b();                   // degraded mode
+  head.u32();                 // scrub plane
+  const std::size_t block_at = bytes.size() - head.remaining();
+  SnapshotWriter patched;
+  patched.u32(9);
+  bytes.replace(block_at, 4, patched.take());
+
+  Ftl restored(cfg);
+  SnapshotReader r(bytes);
+  try {
+    restored.deserialize(r);
+    FAIL() << "accepted a scrub cursor beyond the last block";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("patrol-scrub cursor"),
+              std::string::npos);
+  }
+}
+
+TEST(IntegritySnapshotFuzzTest, LargerDeviceMappingIsRefusedAtTheTable) {
+  // A 16-block device fills past the 8-block device's 64 pages and moves
+  // its patrol cursor to block 9; restored into an 8-block device of
+  // identical plane/channel shape, the mapping table itself refuses it,
+  // before the scrub cursor is even read.
   const SsdConfig big = fuzz_ssd(16);
   Ftl ftl(big);
   FaultPlan plan;
@@ -259,10 +293,51 @@ TEST(IntegritySnapshotFuzzTest, ScrubCursorOutsideGeometryIsRefused) {
   SnapshotReader r(bytes);
   try {
     small.deserialize(r);
-    FAIL() << "accepted a scrub cursor beyond the last block";
+    FAIL() << "accepted mappings past the device";
   } catch (const SnapshotError& e) {
-    EXPECT_NE(std::string(e.what()).find("patrol-scrub cursor"),
-              std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("past the device's 64 pages"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(IntegritySnapshotFuzzTest, MappingToAPageThatDoesNotHoldItIsRefused) {
+  // Swap two in-range mappings and re-seal: every ppn is a valid page of
+  // the device, but each names the other LPN's page.
+  const SsdConfig cfg = fuzz_ssd(8);
+  Ftl ftl(cfg);
+  SimTime t = 0;
+  for (Lpn lpn = 0; lpn < 4; ++lpn) t = ftl.program_page(lpn, 1, t + 1);
+  SnapshotWriter w;
+  ftl.serialize(w);
+  std::string bytes = w.take();
+  // The section opens with the mapping list: tag, count, (lpn, ppn) pairs.
+  SnapshotReader head(bytes);
+  head.tag("ftl");
+  ASSERT_EQ(head.u64(), 4u);
+  ASSERT_EQ(head.u64(), 0u);
+  const std::uint64_t ppn0 = head.u64();
+  ASSERT_EQ(head.u64(), 1u);
+  const std::uint64_t ppn1 = head.u64();
+  ASSERT_NE(ppn0, ppn1);
+  const std::size_t ppn0_at = bytes.size() - head.remaining() - 24;
+  const auto encoded = [](std::uint64_t v) {
+    SnapshotWriter e;
+    e.u64(v);
+    return e.take();
+  };
+  bytes.replace(ppn0_at, 8, encoded(ppn1));
+  bytes.replace(ppn0_at + 16, 8, encoded(ppn0));
+
+  Ftl restored(cfg);
+  SnapshotReader r(bytes);
+  try {
+    restored.deserialize(r);
+    FAIL() << "accepted swapped mappings";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("which does not hold it"),
+              std::string::npos)
+        << e.what();
   }
 }
 

@@ -5,7 +5,7 @@
 // finding comes from that rule's detection logic (switch the rule off
 // and the fixture stops triggering). On top sit suppression-comment and
 // baseline-mode semantics, and the acceptance gate: the production tree
-// (src/ bench/ examples/) lints clean with an empty baseline.
+// (src/ bench/ examples/ tools/) lints clean with an empty baseline.
 #include "lint.h"
 
 #include <gtest/gtest.h>
@@ -49,6 +49,8 @@ const RuleCase kCases[] = {
     {"no-raw-float-format", "raw_float_format_bad.cc",
      "raw_float_format_ok.cc"},
     {"check-macro-hygiene", "check_macro_bad.cc", "check_macro_ok.cc"},
+    {"no-slot-serialization", "slot_serialization_bad.cc",
+     "slot_serialization_ok.cc"},
 };
 
 TEST(LintFixtures, EachBadFixtureTriggersItsRuleExactlyOnce) {
@@ -169,7 +171,7 @@ TEST(LintCatalog, EveryRuleIsDocumentedAndKnown) {
     EXPECT_NE(r.fix_suggestion[0], '\0');
     seen.insert(r.id);
   }
-  EXPECT_EQ(seen.size(), 6u);
+  EXPECT_EQ(seen.size(), 7u);
   for (const RuleCase& c : kCases) {
     EXPECT_TRUE(seen.count(c.rule) != 0) << c.rule;
   }
@@ -201,7 +203,8 @@ TEST(LintTree, ProductionTreeIsCleanWithEmptyBaseline) {
   const std::string repo = REQB_LINT_REPO_DIR;
   std::string error;
   const Report r = lint_paths(
-      {repo + "/src", repo + "/bench", repo + "/examples"}, {}, &error);
+      {repo + "/src", repo + "/bench", repo + "/examples", repo + "/tools"},
+      {}, &error);
   EXPECT_TRUE(error.empty()) << error;
   std::ostringstream all;
   for (const Finding& f : r.findings) {

@@ -169,7 +169,7 @@ inline std::vector<Lpn> expected_victim_pages(const ReqBlockPolicy& policy,
                                               const ReqBlock* victim) {
   std::vector<Lpn> pages;
   if (victim == nullptr) return pages;
-  pages = victim->pages;
+  for (const SlotPage& p : victim->pages) pages.push_back(p.lpn);
   if (policy.options().merge_on_evict && victim->origin_id != 0) {
     // The origin is merged only if it still exists, still sits in IRL, and
     // is not shielded by the in-flight request.
@@ -182,7 +182,7 @@ inline std::vector<Lpn> expected_victim_pages(const ReqBlockPolicy& policy,
       }
     }
     if (origin != nullptr && !policy.is_guarded(origin)) {
-      pages.insert(pages.end(), origin->pages.begin(), origin->pages.end());
+      for (const SlotPage& p : origin->pages) pages.push_back(p.lpn);
     }
   }
   std::sort(pages.begin(), pages.end());

@@ -31,9 +31,10 @@ class AuditLevelGuard {
   AuditLevel previous_;
 };
 
-void expect_clean_audit(const ReqBlockPolicy& policy, std::uint64_t op) {
+void expect_clean_audit(const Driven<ReqBlockPolicy>& policy,
+                        std::uint64_t op) {
   AuditReport report("Req-block");
-  policy.audit(report);
+  policy->audit(report);
   ASSERT_TRUE(report.ok()) << "after op " << op << ":\n"
                            << report.to_string();
 }
@@ -41,7 +42,7 @@ void expect_clean_audit(const ReqBlockPolicy& policy, std::uint64_t op) {
 TEST(ReqBlockProperty, RandomTraceAuditsCleanAndCoversAllTransitions) {
   ReqBlockOptions opt;
   opt.delta = 5;
-  ReqBlockPolicy policy(opt);
+  Driven<ReqBlockPolicy> policy(kTestSlots, opt);
   Rng rng(0xFEED5EED);
 
   std::uint64_t splits = 0;       // hit on a > delta block
@@ -58,32 +59,32 @@ TEST(ReqBlockProperty, RandomTraceAuditsCleanAndCoversAllTransitions) {
     policy.begin_request(req);
     for (std::uint32_t i = 0; i < len; ++i) {
       const Lpn lpn = start + i;
-      const ReqBlock* blk = policy.block_of(lpn);
+      const ReqBlock* blk = policy->block_of(lpn);
       if (blk != nullptr) {
         const bool will_split = blk->page_count() > opt.delta;
         policy.on_hit(lpn, req, /*is_write=*/true);
         if (will_split) {
           ++splits;
           // The page must now live in a DRL block remembering its origin.
-          const ReqBlock* moved = policy.block_of(lpn);
+          const ReqBlock* moved = policy->block_of(lpn);
           ASSERT_NE(moved, nullptr);
           EXPECT_EQ(moved->level, ReqList::kDRL);
           EXPECT_NE(moved->origin_id, 0u);
         } else {
           ++promotions;
-          const ReqBlock* moved = policy.block_of(lpn);
+          const ReqBlock* moved = policy->block_of(lpn);
           ASSERT_NE(moved, nullptr);
           EXPECT_EQ(moved->level, ReqList::kSRL);
           EXPECT_GE(moved->access_cnt, 2u);
         }
       } else {
         policy.on_insert(lpn, req, /*is_write=*/true);
-        const ReqBlock* inserted = policy.block_of(lpn);
+        const ReqBlock* inserted = policy->block_of(lpn);
         ASSERT_NE(inserted, nullptr);
         EXPECT_EQ(inserted->level, ReqList::kIRL);
       }
       ++ops;
-      while (policy.pages() > 192) {
+      while (policy->pages() > 192) {
         const ReqBlock* victim_preview = nullptr;
         {
           // Identify the upcoming victim's own size so a larger batch can
@@ -92,13 +93,13 @@ TEST(ReqBlockProperty, RandomTraceAuditsCleanAndCoversAllTransitions) {
                                    ReqList::kSRL};
           double best = 0.0;
           for (const ReqList level : order) {
-            const ReqBlock* cand = policy.tail_of(level);
-            while (cand != nullptr && policy.is_guarded(cand)) {
-              cand = policy.prev_in_list(cand);
+            const ReqBlock* cand = policy->tail_of(level);
+            while (cand != nullptr && policy->is_guarded(cand)) {
+              cand = policy->prev_in_list(cand);
             }
             if (cand == nullptr) continue;
             const double f =
-                req_block_freq(*cand, policy.now(), opt.freq_mode);
+                req_block_freq(*cand, policy->now(), opt.freq_mode);
             if (victim_preview == nullptr || f < best) {
               best = f;
               victim_preview = cand;
@@ -165,7 +166,7 @@ TEST(ReqBlockProperty, FullStackRandomTraceUnderFullAudits) {
 TEST(ReqBlockProperty, PooledBlocksRecycleWithoutCarryingState) {
   ReqBlockOptions opt;
   opt.delta = 3;
-  ReqBlockPolicy policy(opt);
+  Driven<ReqBlockPolicy> policy(kTestSlots, opt);
   Rng rng(0xC0FFEE);
   constexpr std::size_t kCapacity = 48;
 
@@ -177,8 +178,9 @@ TEST(ReqBlockProperty, PooledBlocksRecycleWithoutCarryingState) {
     EXPECT_EQ(blk->level, level);
     EXPECT_EQ(blk->access_cnt, 1u);
     EXPECT_EQ(blk->origin_id, origin);
-    EXPECT_EQ(policy.prev_in_list(blk), nullptr) << "not at its list head";
-    std::vector<Lpn> held = blk->pages;
+    EXPECT_EQ(policy->prev_in_list(blk), nullptr) << "not at its list head";
+    std::vector<Lpn> held;
+    for (const SlotPage& p : blk->pages) held.push_back(p.lpn);
     std::sort(held.begin(), held.end());
     std::sort(pages.begin(), pages.end());
     EXPECT_EQ(held, pages);
@@ -208,25 +210,25 @@ TEST(ReqBlockProperty, PooledBlocksRecycleWithoutCarryingState) {
     std::uint64_t split_origin = 0;
     for (std::uint32_t i = 0; i < len; ++i) {
       const Lpn lpn = start + i;
-      const ReqBlock* blk = policy.block_of(lpn);
+      const ReqBlock* blk = policy->block_of(lpn);
       if (blk == nullptr) {
-        while (policy.pages() >= kCapacity) {
-          const std::size_t blocks_before = policy.block_count();
+        while (policy->pages() >= kCapacity) {
+          const std::size_t blocks_before = policy->block_count();
           ASSERT_FALSE(policy.select_victim().empty());
           // Victim plus its IRL origin: two blocks left in one batch.
-          if (blocks_before - policy.block_count() == 2) ++merges;
+          if (blocks_before - policy->block_count() == 2) ++merges;
         }
         policy.on_insert(lpn, req, /*is_write=*/true);
         inserted.push_back(lpn);
-        if (inserted.size() == 1) note_block(policy.block_of(lpn));
-        expect_fresh(policy.block_of(lpn), req, inserted, ReqList::kIRL, 0);
+        if (inserted.size() == 1) note_block(policy->block_of(lpn));
+        expect_fresh(policy->block_of(lpn), req, inserted, ReqList::kIRL, 0);
       } else if (blk->page_count() > opt.delta) {
         if (split.empty()) split_origin = blk->block_id;
         policy.on_hit(lpn, req, /*is_write=*/true);
         split.push_back(lpn);
         ++splits;
-        if (split.size() == 1) note_block(policy.block_of(lpn));
-        expect_fresh(policy.block_of(lpn), req, split, ReqList::kDRL,
+        if (split.size() == 1) note_block(policy->block_of(lpn));
+        expect_fresh(policy->block_of(lpn), req, split, ReqList::kDRL,
                      split_origin);
       } else {
         policy.on_hit(lpn, req, /*is_write=*/true);
@@ -241,7 +243,7 @@ TEST(ReqBlockProperty, PooledBlocksRecycleWithoutCarryingState) {
   EXPECT_GT(recycled, 5'000u) << "blocks were not reused from the pool";
   // Live blocks never outnumber cached pages, plus the emptied origin of a
   // split that outlives its replacement's creation by one step.
-  EXPECT_LE(policy.pooled_blocks(), kCapacity + 1);
+  EXPECT_LE(policy->pooled_blocks(), kCapacity + 1);
   EXPECT_GT(splits, 1'000u);
   EXPECT_GT(promotions, 1'000u);
   EXPECT_GT(merges, 100u);

@@ -245,6 +245,50 @@ TEST(SnapshotCacheTest, EveryPolicyRoundTripsAndContinuesIdentically) {
   }
 }
 
+// The policy rebinds its slots from the manager's restored residency, so
+// its snapshot must name exactly the pages the cache section holds: a page
+// the cache does not hold, or a page the policy leaves out, is refused.
+TEST(SnapshotCacheTest, PolicyAndCacheMustHoldTheSamePages) {
+  for (const std::string& name : known_policy_names()) {
+    SCOPED_TRACE(name);
+    const auto cfg = testing::policy_config(name, 64);
+    testing::Harness holds_page_5(cfg);
+    holds_page_5.serve(testing::write_req(0, 5, 1));
+    testing::Harness empty(cfg);
+    const auto refusal = [&](bool cache_holds_5,
+                             const testing::Harness& policy_from) {
+      SnapshotWriter w;
+      w.tag("cache");
+      w.u64(cache_holds_5 ? 1 : 0);
+      if (cache_holds_5) {
+        w.u64(5);  // lpn
+        w.u64(1);  // version
+        w.u32(1);  // inserting request's pages
+        w.b(true);
+        w.b(false);
+      }
+      w.u64(1);  // one oracle entry
+      w.u64(5);
+      w.u64(1);
+      empty.cache->metrics().serialize(w);
+      w.u64(0);  // lookups since the last metadata sample
+      policy_from.cache->policy().serialize(w);
+      testing::Harness h(cfg);
+      SnapshotReader r(w.buffer());
+      try {
+        h.cache->deserialize(r);
+      } catch (const SnapshotError& e) {
+        return std::string(e.what());
+      }
+      return std::string("accepted");
+    };
+    EXPECT_EQ(refusal(true, holds_page_5), "accepted");
+    EXPECT_NE(refusal(false, holds_page_5).find("does not hold"),
+              std::string::npos);
+    EXPECT_NE(refusal(true, empty).find("tracks 0 pages"), std::string::npos);
+  }
+}
+
 TEST(SnapshotCacheTest, DeserializeIntoUsedManagerIsRejected) {
   const auto cfg = testing::policy_config("lru", 64);
   testing::Harness a(cfg);

@@ -18,7 +18,7 @@ cmake -B "$build" -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 
 echo "== reqblock-lint (determinism gate, empty baseline) =="
 cmake --build "$build" -j "$jobs" --target reqblock-lint
-"$build"/tools/reqblock-lint/reqblock-lint src bench examples
+"$build"/tools/reqblock-lint/reqblock-lint src bench examples tools
 
 echo "== clang-tidy =="
 if command -v run-clang-tidy >/dev/null 2>&1; then

@@ -36,10 +36,12 @@
 #include <vector>
 
 #include "json_mini.h"
+#include "util/strings.h"
 
 namespace {
 
 using jsonmini::JsonParser;
+using reqblock::format_double;
 using jsonmini::JsonValue;
 
 // --- Ledger access ---------------------------------------------------------
@@ -153,11 +155,16 @@ bool compare_case(const std::string& label, const JsonValue& before,
                         : (p99_after - p99_before) / p99_before * 100.0;
   const bool tput_regressed = tput_delta_pct < -bands.throughput_pct;
   const bool p99_regressed = p99_delta_pct > bands.p99_pct;
-  std::printf("%s  %-24s throughput %+.2f%% (band %.0f%%), p99 %+.2f%% "
-              "(band %.0f%%)\n",
+  // format_double, not %f: the output must not depend on the locale.
+  const auto signed_pct = [](double v) {
+    return (std::signbit(v) ? "" : "+") + format_double(v, 2);
+  };
+  std::printf("%s  %-24s throughput %s%% (band %s%%), p99 %s%% (band %s%%)\n",
               tput_regressed || p99_regressed ? "FAIL" : "OK  ",
-              label.c_str(), tput_delta_pct, bands.throughput_pct,
-              p99_delta_pct, bands.p99_pct);
+              label.c_str(), signed_pct(tput_delta_pct).c_str(),
+              format_double(bands.throughput_pct, 0).c_str(),
+              signed_pct(p99_delta_pct).c_str(),
+              format_double(bands.p99_pct, 0).c_str());
   return tput_regressed || p99_regressed;
 }
 

@@ -26,6 +26,7 @@ constexpr const char* kNoRawOfstream = "no-raw-ofstream";
 constexpr const char* kNoUnorderedSer = "no-unordered-serialization";
 constexpr const char* kNoRawFloatFormat = "no-raw-float-format";
 constexpr const char* kCheckMacroHygiene = "check-macro-hygiene";
+constexpr const char* kNoSlotSer = "no-slot-serialization";
 
 const std::vector<RuleInfo> kRules = {
     {kNoWallclock,
@@ -54,6 +55,11 @@ const std::vector<RuleInfo> kRules = {
      "macro is compiled out",
      "hoist the mutation out of the macro argument; check-macro "
      "arguments must be pure expressions"},
+    {kNoSlotSer,
+     "a cache slot number written into a snapshot differs after a restore "
+     "(slots are re-occupied in ascending LPN order)",
+     "write the LPN the slot holds, in list order; a slot may only index "
+     "an array inside [...]"},
 };
 
 // ---------------------------------------------------------------------------
@@ -616,6 +622,7 @@ struct Decls {
   std::unordered_set<std::string> float_vars;
   std::unordered_set<std::string> float_fns;
   std::unordered_set<std::string> unordered_vars;
+  std::unordered_set<std::string> writer_vars;  // SnapshotWriter objects
 };
 
 Decls collect_decls(const std::vector<Token>& t) {
@@ -645,6 +652,18 @@ Decls collect_decls(const std::vector<Token>& t) {
         out.float_fns.insert(id->text);
       } else {
         out.float_vars.insert(id->text);
+      }
+    } else if (name == "SnapshotWriter") {
+      std::size_t j = i + 1;
+      while (const Token* tk = at(j)) {
+        if (tk->kind == Tok::kPunct && (tk->text == "&" || tk->text == "*"))
+          ++j;
+        else
+          break;
+      }
+      const Token* id = at(j);
+      if (id != nullptr && id->kind == Tok::kIdent) {
+        out.writer_vars.insert(id->text);
       }
     } else if (name == "unordered_map" || name == "unordered_set" ||
                name == "LpnHashMap" || name == "FlatHashMap") {
@@ -796,6 +815,7 @@ class FileLinter {
       rule_unordered_serialization(i);
       rule_raw_float_format(i);
       rule_check_macro_hygiene(i);
+      rule_slot_serialization(i);
     }
   }
 
@@ -1095,6 +1115,70 @@ class FileLinter {
                    "; the call disappears when the macro is compiled out");
           return;
         }
+      }
+    }
+  }
+
+  // --- rule 7 -------------------------------------------------------------
+  /// True when an identifier names a cache slot: one of its words (split
+  /// at '_' and lower-to-upper case changes) is "slot". `slots_` (the
+  /// table) and `free_slots` (a count's source) do not qualify.
+  static bool names_slot(const std::string& ident) {
+    std::string word;
+    const auto is_slot = [&word] {
+      std::string lower(word.size(), '\0');
+      std::transform(word.begin(), word.end(), lower.begin(), [](char c) {
+        return static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+      });
+      return lower == "slot";
+    };
+    for (std::size_t k = 0; k < ident.size(); ++k) {
+      const char c = ident[k];
+      const bool boundary =
+          c == '_' || (k > 0 && std::isupper(static_cast<unsigned char>(c)) &&
+                       std::islower(static_cast<unsigned char>(ident[k - 1])));
+      if (boundary) {
+        if (is_slot()) return true;
+        word.clear();
+      }
+      if (c != '_') word += c;
+    }
+    return is_slot();
+  }
+
+  void rule_slot_serialization(std::size_t i) {
+    if (!enabled(kNoSlotSer)) return;
+    const std::vector<Token>& t = lx_.tokens;
+    // `w.u64(...)` / `w->u32(...)` on a SnapshotWriter, in an emission
+    // function.
+    if (t[i].kind != Tok::kIdent || decls_.writer_vars.count(t[i].text) == 0)
+      return;
+    if (!ctx_.ctx[i].emission || i + 3 >= t.size()) return;
+    if (t[i + 1].kind != Tok::kPunct ||
+        (t[i + 1].text != "." && t[i + 1].text != "->") ||
+        t[i + 2].kind != Tok::kIdent || !next_is(t, i + 2, "(")) {
+      return;
+    }
+    int depth = 0;
+    int brackets = 0;
+    for (std::size_t j = i + 3; j < t.size(); ++j) {
+      const Token& tk = t[j];
+      if (tk.kind == Tok::kPunct) {
+        if (tk.text == "(") ++depth;
+        if (tk.text == ")" && --depth == 0) return;
+        if (tk.text == "[") ++brackets;
+        if (tk.text == "]") --brackets;
+        continue;
+      }
+      // A slot inside [...] only indexes, and so does naming the table
+      // it indexes (`version_of_slot[...]`).
+      if (tk.kind == Tok::kIdent && brackets == 0 && !next_is(t, j, "[") &&
+          names_slot(tk.text)) {
+        emit(kNoSlotSer, tk.line,
+             "'" + tk.text + "' names a cache slot written by '" +
+                 t[i].text + "." + t[i + 2].text +
+                 "'; a restore re-binds slots, so write the page's LPN");
+        return;
       }
     }
   }

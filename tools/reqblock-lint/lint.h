@@ -4,7 +4,7 @@
 // produce equal bytes, on any host, at any thread count, in any locale.
 // The runtime side of that contract is enforced by the cmp-style
 // determinism tests; this tool enforces the *source* side, at review
-// time, with a token/AST-lite scan over src/, bench/ and examples/:
+// time, with a token/AST-lite scan over src/, bench/, examples/ and tools/:
 //
 //   no-wallclock               wall-clock time sources outside the
 //                              profiler allowlist
@@ -18,6 +18,8 @@
 //                              formatting instead of format_double
 //   check-macro-hygiene        side effects inside compiled-out
 //                              REQB_DCHECK / REQB_AUDIT macros
+//   no-slot-serialization      a cache slot number passed to a
+//                              SnapshotWriter call in an emission function
 //
 // A finding is suppressed by a comment `// REQB_LINT_ALLOW(rule-id):
 // justification` on the offending line or on a line of its own directly
